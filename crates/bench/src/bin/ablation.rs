@@ -83,11 +83,9 @@ fn main() {
         jobs.push(Job::Topo(topo));
     }
 
-    let threads = opts.threads;
     let results: Vec<(f64, f64)> = opts.run_points(&jobs, |job| {
         let report = job
             .scenario(window)
-            .threads(threads)
             .run()
             .expect("ablation scenarios are valid");
         (report.throughput_gib_s, report.mean_latency)

@@ -6,8 +6,8 @@
 //! * `BENCH_perf.json` (`figure = "perf"`): the saturated point of any
 //!   engine must not lose more than the threshold fraction of its
 //!   activity-mode `cycles_per_sec`.
-//! * `BENCH_scaling.json` (`figure = "scaling"`): the serial run of any
-//!   mesh size must not lose more than its **per-size** threshold (small
+//! * `BENCH_scaling.json` (`figure = "scaling"`): the simulator speed on
+//!   any mesh size must not lose more than its **per-size** threshold (small
 //!   meshes gate looser — their quick windows measure noisier).
 //! * `BENCH_fig4.json` (`figure = "fig4"`): every `(curve, load)`
 //!   throughput cell must match the baseline to within a fixed epsilon —
@@ -144,7 +144,7 @@ fn diff_scaling(opts: &Options, baseline: &Json, current: &Json) -> usize {
     }
 
     println!(
-        "serial-run simulator speed per mesh vs {} (base threshold {:.1}%, scaled per size)",
+        "simulator speed per mesh vs {} (base threshold {:.1}%, scaled per size)",
         opts.baseline.display(),
         100.0 * opts.threshold
     );

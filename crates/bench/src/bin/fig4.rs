@@ -87,16 +87,11 @@ fn main() {
 
     // The sweep grid: one Scenario per cell, row-major in load so
     // `cells[li * curves + ci]` addresses the printed table directly.
-    let threads = opts.threads;
     let scenarios: Vec<Scenario> = (0..loads.len())
         .flat_map(|li| {
             let loads = &loads;
             let curves = &curves;
-            (0..curves.len()).map(move |ci| {
-                curves[ci]
-                    .scenario(li, loads[li], window, warmup)
-                    .threads(threads)
-            })
+            (0..curves.len()).map(move |ci| curves[ci].scenario(li, loads[li], window, warmup))
         })
         .collect();
     let results: Vec<(f64, f64)> = opts.run_points(&scenarios, |sc| {

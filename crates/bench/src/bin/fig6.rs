@@ -32,17 +32,13 @@ fn main() {
     ];
     let widths = [(32u32, "Slim"), (512, "Wide")];
 
-    let threads = opts.threads;
     let scenarios: Vec<(u64, Scenario)> = widths
         .iter()
         .flat_map(|&(dw, _)| {
             patterns.iter().flat_map(move |&(pattern, _)| {
-                BURST_CAPS.iter().map(move |&cap| {
-                    (
-                        cap,
-                        synthetic_scenario(dw, pattern, cap, window, warmup).threads(threads),
-                    )
-                })
+                BURST_CAPS
+                    .iter()
+                    .map(move |&cap| (cap, synthetic_scenario(dw, pattern, cap, window, warmup)))
             })
         })
         .collect();

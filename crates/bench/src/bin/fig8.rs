@@ -22,12 +22,7 @@ fn main() {
     let mut cells: Vec<(u32, &str, DnnWorkload, Scenario)> = Vec::new();
     for (dw, name) in [(32u32, "Slim"), (512, "Wide")] {
         for wl in DnnWorkload::all() {
-            cells.push((
-                dw,
-                name,
-                wl,
-                dnn_scenario(dw, wl, steps).threads(opts.threads),
-            ));
+            cells.push((dw, name, wl, dnn_scenario(dw, wl, steps)));
         }
     }
     let results = opts.run_points(&cells, |(_, _, wl, sc)| dnn_point_for(sc, *wl));

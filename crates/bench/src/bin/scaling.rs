@@ -1,51 +1,31 @@
 //! Mesh-size scaling study (paper §VI future work: "explore different NoC
-//! topologies which might be suited for emerging DNN platforms") — now
-//! doubling as the region-sharding **speedup** study.
+//! topologies which might be suited for emerging DNN platforms"), doubling
+//! as the simulator's speed-per-mesh-size record.
 //!
 //! Simulates saturated uniform-random copies on 8×8, 16×16 and 32×32
 //! meshes at DW = 64 and reports, per mesh size: modelled area, bisection
 //! bandwidth, measured saturation throughput, the hottest link's
-//! data-channel occupancy, and a per-size **speedup curve** — the same
-//! simulation re-run at each region-shard thread count (see
-//! `ARCHITECTURE.md`, "Region-sharded execution"), with simulator speed
-//! taken from the report's own `cycles_per_sec` wall-clock telemetry and
-//! speedup normalized to the serial run.
+//! data-channel occupancy, and the simulator's serial speed taken from the
+//! report's own `cycles_per_sec` wall-clock telemetry.
 //!
-//! Simulated results are bit-identical at every thread count — the binary
-//! asserts it — so the curve isolates the wall-clock effect of sharding.
 //! Every point runs **sequentially** (never through `--jobs` workers):
-//! each timed run must own the machine or the speedup numbers would be
-//! polluted by sweep-level parallelism. `--quick` (or `SCALING_QUICK=1`)
-//! shrinks the window; `--json PATH` writes `BENCH_scaling.json`.
-//!
-//! With `BENCH_WARM_START=1`, each mesh size's warm-up simulates once
-//! (`bench::sweep::WarmCache`): the serial reference stays cold (it owns
-//! the link-occupancy probe), and the sharded thread-curve points fork
-//! from the checkpoint — still asserted bit-identical to serial — with
-//! the net `warmup_cycles_saved` recorded in the artifact.
+//! each timed run must own the machine or its speed would be polluted by
+//! sweep-level parallelism. `--quick` (or `SCALING_QUICK=1`) shrinks the
+//! window; `--json PATH` writes `BENCH_scaling.json`.
 
 use bench::json::Json;
-use bench::sweep::{SweepOptions, WarmCache};
+use bench::sweep::SweepOptions;
 use patronoc::Topology;
 use physical::{bisection::bisection_bandwidth_gib_s, AreaModel, BisectionCounting};
 use scenario::{Scenario, TrafficSpec};
-use simkit::{SimReport, StopReason};
-
-/// The region-shard thread counts of the speedup curve.
-const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
-
-struct ThreadPoint {
-    threads: usize,
-    report: SimReport,
-    speedup: f64,
-}
+use simkit::SimReport;
 
 struct MeshRow {
     dim: usize,
     area_kge: f64,
     bisection_gib_s: f64,
     peak_link_occupancy: f64,
-    curve: Vec<ThreadPoint>,
+    report: SimReport,
 }
 
 fn scaling_scenario(dim: usize, window: u64, warmup: u64) -> Scenario {
@@ -67,48 +47,16 @@ fn main() {
     let warmup = window / 5;
     let model = AreaModel::calibrated();
     let dims = [8usize, 16, 32];
-    let mut warm = WarmCache::from_env();
 
     let results: Vec<MeshRow> = dims
         .iter()
         .map(|&dim| {
             let sc = scaling_scenario(dim, window, warmup);
-            // Serial reference run, through the concrete engine for the
-            // link-occupancy probe the Engine trait does not carry.
+            // Through the concrete engine for the link-occupancy probe the
+            // Engine trait does not carry.
             let mut sim = sc.build_noc_sim().expect("valid scaling scenario");
             let mut src = sc.build_source();
-            let mut serial = sim.run(&mut *src, sc.warmup + sc.window, sc.warmup);
-            if serial.stop_reason == StopReason::Budget {
-                // Scenario::run's windowed-stop normalization, replicated so
-                // the sharded runs compare equal.
-                serial.stop_reason = StopReason::WindowComplete;
-            }
-            let peak_link_occupancy = sim.peak_link_occupancy();
-
-            let curve = THREAD_COUNTS
-                .iter()
-                .map(|&threads| {
-                    let report = if threads == 1 {
-                        serial.clone()
-                    } else {
-                        let report = warm
-                            .run(&scaling_scenario(dim, window, warmup).threads(threads))
-                            .expect("valid scaling scenario");
-                        // Sharding is a wall-clock-only knob: every
-                        // simulated observable must match the serial run.
-                        assert_eq!(
-                            report, serial,
-                            "sharded {dim}x{dim} run at {threads} threads diverged from serial"
-                        );
-                        report
-                    };
-                    ThreadPoint {
-                        threads,
-                        speedup: report.cycles_per_sec / serial.cycles_per_sec,
-                        report,
-                    }
-                })
-                .collect();
+            let report = sim.run(&mut *src, sc.warmup + sc.window, sc.warmup);
             MeshRow {
                 dim,
                 area_kge: model.mesh_area_kge(sc.topology, sim.config().axi),
@@ -117,85 +65,45 @@ fn main() {
                     sc.data_width,
                     BisectionCounting::BothWays,
                 ),
-                peak_link_occupancy,
-                curve,
+                peak_link_occupancy: sim.peak_link_occupancy(),
+                report,
             }
         })
         .collect();
 
     println!(
-        "{:>8} {:>12} {:>14} {:>14} {:>12} {:>9} {:>14} {:>9}",
-        "mesh",
-        "area (kGE)",
-        "bisect (GiB/s)",
-        "thr (GiB/s)",
-        "peak link",
-        "threads",
-        "cyc/s",
-        "speedup"
+        "{:>8} {:>12} {:>14} {:>14} {:>12} {:>14}",
+        "mesh", "area (kGE)", "bisect (GiB/s)", "thr (GiB/s)", "peak link", "cyc/s"
     );
     let mut meshes = Vec::new();
     for row in &results {
-        let serial = &row.curve[0].report;
-        let mut points = Vec::new();
-        for (i, p) in row.curve.iter().enumerate() {
-            if i == 0 {
-                println!(
-                    "{:>8} {:>12.0} {:>14.1} {:>14.2} {:>11.1}% {:>9} {:>14.0} {:>8.2}x",
-                    format!("{0}x{0}", row.dim),
-                    row.area_kge,
-                    row.bisection_gib_s,
-                    serial.throughput_gib_s,
-                    100.0 * row.peak_link_occupancy,
-                    p.threads,
-                    p.report.cycles_per_sec,
-                    p.speedup
-                );
-            } else {
-                println!(
-                    "{:>8} {:>12} {:>14} {:>14} {:>12} {:>9} {:>14.0} {:>8.2}x",
-                    "", "", "", "", "", p.threads, p.report.cycles_per_sec, p.speedup
-                );
-            }
-            points.push(Json::obj(vec![
-                ("threads", Json::U64(p.threads as u64)),
-                ("cycles_per_sec", Json::F64(p.report.cycles_per_sec)),
-                ("speedup", Json::F64(p.speedup)),
-            ]));
-        }
+        println!(
+            "{:>8} {:>12.0} {:>14.1} {:>14.2} {:>11.1}% {:>14.0}",
+            format!("{0}x{0}", row.dim),
+            row.area_kge,
+            row.bisection_gib_s,
+            row.report.throughput_gib_s,
+            100.0 * row.peak_link_occupancy,
+            row.report.cycles_per_sec,
+        );
         meshes.push(Json::obj(vec![
             ("mesh", Json::str(format!("{0}x{0}", row.dim))),
             ("area_kge", Json::F64(row.area_kge)),
             ("bisection_gib_s", Json::F64(row.bisection_gib_s)),
-            ("gib_s", Json::F64(serial.throughput_gib_s)),
+            ("gib_s", Json::F64(row.report.throughput_gib_s)),
             ("peak_link_occupancy", Json::F64(row.peak_link_occupancy)),
-            ("speedup_curve", Json::Arr(points)),
+            ("cycles_per_sec", Json::F64(row.report.cycles_per_sec)),
         ]));
     }
     println!();
-    println!(
-        "Uniform random copies, DW = 64, MOT = 8, bursts ≤ 4 KiB, load 1.0; \
-         simulated results bit-identical at every thread count."
-    );
-    if warm.enabled() {
-        println!(
-            "warm-start forking saved {} warm-up cycles",
-            warm.warmup_cycles_saved()
-        );
-    }
+    println!("Uniform random copies, DW = 64, MOT = 8, bursts ≤ 4 KiB, load 1.0.");
 
     opts.emit_json(&Json::obj(vec![
         ("figure", Json::str("scaling")),
-        ("schema_version", Json::U64(2)),
+        ("schema_version", Json::U64(3)),
         ("quick", Json::Bool(opts.quick)),
         ("window", Json::U64(window)),
         ("warmup", Json::U64(warmup)),
-        ("warm_start", Json::Bool(warm.enabled())),
-        ("warmup_cycles_saved", Json::U64(warm.warmup_cycles_saved())),
-        (
-            "threads",
-            Json::Arr(THREAD_COUNTS.iter().map(|&t| Json::U64(t as u64)).collect()),
-        ),
         ("meshes", Json::Arr(meshes)),
     ]));
 }

@@ -7,8 +7,7 @@
 //!   measured at in both) must not lose more than a threshold fraction of
 //!   its activity-mode `cycles_per_sec` relative to the baseline.
 //! * `"scaling"` (`BENCH_scaling.json`): for every mesh size present in
-//!   both files, the **serial** (`threads = 1`) `cycles_per_sec` must not
-//!   regress by more than a per-size threshold — small meshes finish a
+//!   both files, the simulator's `cycles_per_sec` must not regress by more than a per-size threshold — small meshes finish a
 //!   quick window in little wall time and measure noisier, so their gate
 //!   is proportionally looser (see [`ScalingComparison::threshold`]).
 //! * `"fig4"` (`BENCH_fig4.json`): the **simulated** throughput of every
@@ -169,15 +168,15 @@ pub fn compare_saturated(baseline: &[PerfPoint], current: &[PerfPoint]) -> Vec<C
 }
 
 /// One mesh row extracted from a `BENCH_scaling.json` document: the
-/// serial (`threads = 1`) simulator speed of one mesh size.
+/// simulator speed of one mesh size.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScalingPoint {
     /// Mesh label (`"8x8"`).
     pub mesh: String,
     /// Mesh side length parsed from the label.
     pub dim: u64,
-    /// Serial `cycles_per_sec` of the mesh's speedup curve.
-    pub serial_cps: f64,
+    /// Simulator `cycles_per_sec` on this mesh.
+    pub cps: f64,
 }
 
 /// One per-mesh comparison between baseline and current scaling sweeps.
@@ -187,9 +186,9 @@ pub struct ScalingComparison {
     pub mesh: String,
     /// Mesh side length (drives the per-size threshold).
     pub dim: u64,
-    /// Baseline serial `cycles_per_sec`.
+    /// Baseline `cycles_per_sec`.
     pub baseline_cps: f64,
-    /// Current serial `cycles_per_sec`.
+    /// Current `cycles_per_sec`.
     pub current_cps: f64,
 }
 
@@ -222,14 +221,12 @@ impl ScalingComparison {
     }
 }
 
-/// Extracts the per-mesh serial points of a parsed `BENCH_scaling.json`
+/// Extracts the per-mesh points of a parsed `BENCH_scaling.json`
 /// document.
 ///
 /// # Errors
 ///
-/// Describes the first missing or mistyped field, naming the key; a
-/// mesh without a `threads = 1` curve entry is an error (the serial run
-/// anchors every speedup curve the sweep emits).
+/// Describes the first missing or mistyped field, naming the key.
 pub fn parse_scaling_points(doc: &Json) -> Result<Vec<ScalingPoint>, String> {
     let figure = get_str(doc, "figure")?;
     if figure != "scaling" {
@@ -249,16 +246,9 @@ pub fn parse_scaling_points(doc: &Json) -> Result<Vec<ScalingPoint>, String> {
                 .next()
                 .and_then(|d| d.parse::<u64>().ok())
                 .ok_or_else(|| format!("mesh label `{mesh}` is not `NxN`"))?;
-            let Json::Arr(curve) = get(m, "speedup_curve")? else {
-                return Err(format!("mesh `{mesh}`: `speedup_curve` is not an array"));
-            };
-            let serial = curve
-                .iter()
-                .find(|p| matches!(get(p, "threads"), Ok(Json::U64(1))))
-                .ok_or_else(|| format!("mesh `{mesh}` has no serial (threads = 1) point"))?;
             Ok(ScalingPoint {
                 dim,
-                serial_cps: get_f64(serial, "cycles_per_sec")?,
+                cps: get_f64(m, "cycles_per_sec").map_err(|e| format!("mesh `{mesh}`: {e}"))?,
                 mesh,
             })
         })
@@ -279,8 +269,8 @@ pub fn compare_scaling(
             Some(ScalingComparison {
                 mesh: b.mesh.clone(),
                 dim: b.dim,
-                baseline_cps: b.serial_cps,
-                current_cps: c.serial_cps,
+                baseline_cps: b.cps,
+                current_cps: c.cps,
             })
         })
         .collect()
@@ -461,20 +451,10 @@ mod tests {
         assert!(compare_saturated(&base, &cur).is_empty());
     }
 
-    fn mesh(label: &str, serial_cps: f64) -> Json {
-        let curve = [(1u64, serial_cps), (2, serial_cps * 1.7)]
-            .into_iter()
-            .map(|(threads, cps)| {
-                Json::obj(vec![
-                    ("threads", Json::U64(threads)),
-                    ("cycles_per_sec", Json::F64(cps)),
-                    ("speedup", Json::F64(cps / serial_cps)),
-                ])
-            })
-            .collect();
+    fn mesh(label: &str, cps: f64) -> Json {
         Json::obj(vec![
             ("mesh", Json::str(label)),
-            ("speedup_curve", Json::Arr(curve)),
+            ("cycles_per_sec", Json::F64(cps)),
         ])
     }
 
@@ -493,31 +473,25 @@ mod tests {
         assert_eq!(pts.len(), 2);
         assert_eq!(pts[0].mesh, "8x8");
         assert_eq!(pts[0].dim, 8);
-        assert_eq!(pts[0].serial_cps, 4e6);
+        assert_eq!(pts[0].cps, 4e6);
         assert_eq!(pts[1].dim, 32);
     }
 
     #[test]
-    fn scaling_parse_rejects_wrong_figures_and_missing_serial_points() {
+    fn scaling_parse_rejects_wrong_figures_and_missing_speeds() {
         assert!(
             parse_scaling_points(&doc(vec![point("patronoc", 1.0, 1e6)]))
                 .unwrap_err()
                 .contains("perf")
         );
-        // A curve without its threads = 1 anchor is malformed.
-        let no_serial = Json::obj(vec![
-            ("mesh", Json::str("8x8")),
-            (
-                "speedup_curve",
-                Json::Arr(vec![Json::obj(vec![
-                    ("threads", Json::U64(2)),
-                    ("cycles_per_sec", Json::F64(1e6)),
-                ])]),
-            ),
-        ]);
-        assert!(parse_scaling_points(&scaling_doc(vec![no_serial]))
-            .unwrap_err()
-            .contains("no serial"));
+        // A mesh row without its speed is malformed, and the error names
+        // both the mesh and the key.
+        let no_speed = Json::obj(vec![("mesh", Json::str("8x8"))]);
+        let err = parse_scaling_points(&scaling_doc(vec![no_speed])).unwrap_err();
+        assert!(
+            err.contains("8x8") && err.contains("cycles_per_sec"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -549,6 +523,75 @@ mod tests {
         let cmp = compare_scaling(&base, &cur[..1]);
         assert_eq!(cmp.len(), 1);
         assert_eq!(cmp[0].mesh, "8x8");
+    }
+
+    #[test]
+    fn scaling_mesh_labels_must_lead_with_a_side_length() {
+        let bad = Json::obj(vec![
+            ("mesh", Json::str("big")),
+            ("cycles_per_sec", Json::F64(1e6)),
+        ]);
+        let err = parse_scaling_points(&scaling_doc(vec![bad])).unwrap_err();
+        assert!(err.contains("mesh label `big` is not `NxN`"), "{err}");
+    }
+
+    #[test]
+    fn scaling_speedups_never_regress() {
+        let base = parse_scaling_points(&scaling_doc(vec![mesh("32x32", 2e5)])).unwrap();
+        let cur = parse_scaling_points(&scaling_doc(vec![mesh("32x32", 3e5)])).unwrap();
+        let cmp = compare_scaling(&base, &cur);
+        assert!((cmp[0].change() - 0.5).abs() < 1e-12);
+        assert!(
+            !cmp[0].regressed(0.0),
+            "a faster mesh passes even a zero gate"
+        );
+    }
+
+    const BASELINES: [(&str, &str); 3] = [
+        ("fig4", include_str!("../baselines/BENCH_fig4.json")),
+        ("perf", include_str!("../baselines/BENCH_perf.json")),
+        ("scaling", include_str!("../baselines/BENCH_scaling.json")),
+    ];
+
+    #[test]
+    fn committed_baselines_parse_under_their_figure() {
+        // The CI gates feed these files to bench-diff; a parser change
+        // that no longer reads them would turn every gate red.
+        for (name, text) in BASELINES {
+            let d = Json::parse(text).unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert_eq!(figure(&d).unwrap(), name);
+            let n = match name {
+                "fig4" => parse_fig4_points(&d).map(|p| p.len()),
+                "perf" => parse_points(&d).map(|p| p.len()),
+                _ => parse_scaling_points(&d).map(|p| p.len()),
+            };
+            assert!(
+                n.unwrap_or_else(|e| panic!("{name}: {e}")) > 0,
+                "{name}: empty"
+            );
+        }
+    }
+
+    #[test]
+    fn committed_scaling_baseline_keeps_the_serial_reference() {
+        // Schema 3 carries one serial speed per mesh; the values are the
+        // single-thread speeds of the schema-2 baseline, so the gate's
+        // reference did not move when the schema changed.
+        let d = Json::parse(BASELINES[2].1).unwrap();
+        assert!(matches!(get(&d, "schema_version"), Ok(Json::U64(3))));
+        let pts = parse_scaling_points(&d).unwrap();
+        let got: Vec<(&str, f64)> = pts.iter().map(|p| (p.mesh.as_str(), p.cps)).collect();
+        assert_eq!(
+            got,
+            [
+                ("8x8", 29775.521105737134),
+                ("16x16", 5905.703901405769),
+                ("32x32", 873.0912427713897),
+            ]
+        );
+        for retired in ["speedup_curve", "threads", "warm_start"] {
+            assert!(!BASELINES[2].1.contains(retired), "{retired} in baseline");
+        }
     }
 
     fn fig4_doc(curves: Vec<(&str, Vec<(f64, f64)>)>) -> Json {

@@ -28,8 +28,8 @@ pub const JOBS_ENV: &str = "BENCH_JOBS";
 
 /// Environment variable enabling warm-start forking (`BENCH_WARM_START=1`):
 /// sweep points that share a warm-up-equivalent scenario prefix simulate
-/// the warm-up once, checkpoint, and fork every repetition / thread count
-/// from the restored state. Like `--jobs` and `--threads`, a wall-clock-only
+/// the warm-up once, checkpoint, and fork every repetition / window from
+/// the restored state. Like `--jobs`, a wall-clock-only
 /// knob — forked runs are bit-identical to cold runs (pinned by
 /// `crates/bench/tests/snapshot.rs`).
 pub const WARM_START_ENV: &str = "BENCH_WARM_START";
@@ -41,10 +41,6 @@ pub const WARM_START_ENV: &str = "BENCH_WARM_START";
 pub fn warm_start_enabled() -> bool {
     std::env::var(WARM_START_ENV).is_ok_and(|v| !v.is_empty() && v != "0")
 }
-
-/// Environment variable overriding the default per-simulation region-shard
-/// thread count (`Scenario::threads`) for all sweeps.
-pub const THREADS_ENV: &str = "BENCH_THREADS";
 
 /// Environment variable disabling event-horizon time skipping
 /// (`BENCH_TIME_SKIP=0`): the perf sweep then steps every idle cycle —
@@ -66,13 +62,10 @@ fn time_skip_from(v: Option<&str>) -> bool {
     v != Some("0")
 }
 
-const USAGE: &str = "usage: <bin> [--jobs N] [--threads N] [--json PATH] [--quick]
+const USAGE: &str = "usage: <bin> [--jobs N] [--json PATH] [--quick]
   --jobs N     worker threads for the sweep grid (default: $BENCH_JOBS,
                else the machine's available parallelism); results are
                bit-identical for every N
-  --threads N  region-shard threads inside each simulation (default:
-               $BENCH_THREADS, else 1); results are bit-identical for
-               every N
   --json PATH  also write machine-readable results (BENCH_<fig>.json style)
   --quick      coarse fast sweep (same as setting the binary's <FIG>_QUICK
                environment variable)";
@@ -82,9 +75,6 @@ const USAGE: &str = "usage: <bin> [--jobs N] [--threads N] [--json PATH] [--quic
 pub struct SweepOptions {
     /// Worker threads used by [`run_points`](Self::run_points).
     pub jobs: usize,
-    /// Region-shard threads inside each simulation
-    /// (`Scenario::threads`); like `jobs`, a wall-clock-only knob.
-    pub threads: usize,
     /// Where to write the machine-readable results, if requested.
     pub json: Option<PathBuf>,
     /// Whether to run the reduced-budget sweep.
@@ -101,13 +91,7 @@ impl SweepOptions {
     pub fn parse(quick_env: &str) -> Self {
         let env_quick = std::env::var_os(quick_env).is_some();
         let env_jobs = std::env::var(JOBS_ENV).ok();
-        let env_threads = std::env::var(THREADS_ENV).ok();
-        match Self::try_parse(
-            std::env::args().skip(1),
-            env_quick,
-            env_jobs.as_deref(),
-            env_threads.as_deref(),
-        ) {
+        match Self::try_parse(std::env::args().skip(1), env_quick, env_jobs.as_deref()) {
             Ok(opts) => opts,
             Err(msg) => {
                 eprintln!("error: {msg}\n{USAGE}");
@@ -121,10 +105,8 @@ impl SweepOptions {
         args: impl Iterator<Item = String>,
         env_quick: bool,
         env_jobs: Option<&str>,
-        env_threads: Option<&str>,
     ) -> Result<Self, String> {
         let mut jobs: Option<usize> = None;
-        let mut threads: Option<usize> = None;
         let mut json = None;
         let mut quick = env_quick;
         let mut args = args.peekable();
@@ -133,10 +115,6 @@ impl SweepOptions {
                 "--jobs" => {
                     let v = args.next().ok_or("--jobs needs a value")?;
                     jobs = Some(parse_jobs(&v)?);
-                }
-                "--threads" => {
-                    let v = args.next().ok_or("--threads needs a value")?;
-                    threads = Some(parse_jobs(&v)?);
                 }
                 "--json" => {
                     let v = args.next().ok_or("--json needs a path")?;
@@ -151,17 +129,7 @@ impl SweepOptions {
             (None, Some(v)) => parse_jobs(v).map_err(|e| format!("{JOBS_ENV}: {e}"))?,
             (None, None) => pool::default_jobs(),
         };
-        let threads = match (threads, env_threads) {
-            (Some(n), _) => n,
-            (None, Some(v)) => parse_jobs(v).map_err(|e| format!("{THREADS_ENV}: {e}"))?,
-            (None, None) => 1,
-        };
-        Ok(Self {
-            jobs,
-            threads,
-            json,
-            quick,
-        })
+        Ok(Self { jobs, json, quick })
     }
 
     /// Runs `f` over every point of the grid across [`jobs`](Self::jobs)
@@ -228,7 +196,7 @@ fn splitmix64(seed: u64) -> u64 {
 
 /// Warm-start fork cache for sequential sweep loops: groups scenarios by
 /// [`scenario::warm_key`] (the warm-up-equivalent prefix — everything but
-/// the stop condition and thread count), simulates each group's warm-up
+/// the stop condition), simulates each group's warm-up
 /// once, and forks every subsequent run of the group from the checkpoint.
 ///
 /// Disabled ([`WarmCache::run`] just calls [`Scenario::run`]) unless
@@ -325,9 +293,8 @@ mod tests {
 
     #[test]
     fn defaults_without_flags_or_env() {
-        let opts = SweepOptions::try_parse(argv(&[]), false, None, None).unwrap();
+        let opts = SweepOptions::try_parse(argv(&[]), false, None).unwrap();
         assert_eq!(opts.jobs, pool::default_jobs());
-        assert_eq!(opts.threads, 1);
         assert!(opts.json.is_none());
         assert!(!opts.quick);
     }
@@ -335,47 +302,28 @@ mod tests {
     #[test]
     fn flags_parse() {
         let opts = SweepOptions::try_parse(
-            argv(&[
-                "--jobs",
-                "4",
-                "--threads",
-                "2",
-                "--json",
-                "out.json",
-                "--quick",
-            ]),
+            argv(&["--jobs", "4", "--json", "out.json", "--quick"]),
             false,
-            None,
             None,
         )
         .unwrap();
         assert_eq!(opts.jobs, 4);
-        assert_eq!(opts.threads, 2);
         assert_eq!(opts.json.as_deref(), Some(std::path::Path::new("out.json")));
         assert!(opts.quick);
     }
 
     #[test]
     fn jobs_flag_overrides_env() {
-        let opts = SweepOptions::try_parse(argv(&["--jobs", "2"]), false, Some("8"), None).unwrap();
+        let opts = SweepOptions::try_parse(argv(&["--jobs", "2"]), false, Some("8")).unwrap();
         assert_eq!(opts.jobs, 2);
-        let opts = SweepOptions::try_parse(argv(&[]), false, Some("8"), None).unwrap();
+        let opts = SweepOptions::try_parse(argv(&[]), false, Some("8")).unwrap();
         assert_eq!(opts.jobs, 8);
-    }
-
-    #[test]
-    fn threads_flag_overrides_env() {
-        let opts =
-            SweepOptions::try_parse(argv(&["--threads", "4"]), false, None, Some("2")).unwrap();
-        assert_eq!(opts.threads, 4);
-        let opts = SweepOptions::try_parse(argv(&[]), false, None, Some("2")).unwrap();
-        assert_eq!(opts.threads, 2);
     }
 
     #[test]
     fn quick_env_sets_quick() {
         assert!(
-            SweepOptions::try_parse(argv(&[]), true, None, None)
+            SweepOptions::try_parse(argv(&[]), true, None)
                 .unwrap()
                 .quick
         );
@@ -387,18 +335,24 @@ mod tests {
             vec!["--jobs"],
             vec!["--jobs", "0"],
             vec!["--jobs", "many"],
-            vec!["--threads"],
-            vec!["--threads", "0"],
+            vec!["--threads", "2"],
             vec!["--json"],
             vec!["--frobnicate"],
         ] {
             assert!(
-                SweepOptions::try_parse(argv(&bad), false, None, None).is_err(),
+                SweepOptions::try_parse(argv(&bad), false, None).is_err(),
                 "{bad:?} should be rejected"
             );
         }
-        assert!(SweepOptions::try_parse(argv(&[]), false, Some("zero"), None).is_err());
-        assert!(SweepOptions::try_parse(argv(&[]), false, None, Some("-1")).is_err());
+        assert!(SweepOptions::try_parse(argv(&[]), false, Some("zero")).is_err());
+    }
+
+    #[test]
+    fn retired_threads_flag_is_named_as_unknown() {
+        // Sweeps parallelize across points only; an old `--threads`
+        // invocation fails loudly instead of running with a dropped knob.
+        let err = SweepOptions::try_parse(argv(&["--threads", "2"]), false, None).unwrap_err();
+        assert_eq!(err, "unknown argument `--threads`");
     }
 
     #[test]
@@ -432,27 +386,26 @@ mod tests {
         assert_eq!(out, points.iter().map(|p| p * 2).collect::<Vec<_>>());
     }
 
-    fn warm_grid_scenario(threads: usize) -> Scenario {
+    fn warm_grid_scenario() -> Scenario {
         use scenario::TrafficSpec;
         Scenario::patronoc()
             .traffic(TrafficSpec::uniform_copies(0.5, 500))
             .warmup(1_000)
             .window(1_500)
             .seed(23)
-            .threads(threads)
     }
 
     #[test]
     fn warm_cache_forks_are_bit_identical_to_cold_runs() {
         let mut cache = WarmCache::new(true);
         assert!(cache.enabled());
-        // Three runs of one warm group (thread count varies, key does not):
-        // one capture, then forks — each bit-identical to its cold run.
-        for threads in [1, 2, 4] {
-            let sc = warm_grid_scenario(threads);
+        // Three runs of one warm group (window varies, key does not): one
+        // capture, then forks — each bit-identical to its cold run.
+        for window in [1_500, 1_000, 2_000] {
+            let sc = warm_grid_scenario().window(window);
             let cold = sc.run().unwrap();
             let warm = cache.run(&sc).unwrap();
-            assert_eq!(cold, warm, "threads {threads}");
+            assert_eq!(cold, warm, "window {window}");
             assert_eq!(cold.state_digest, warm.state_digest);
         }
         // 3 forks paid for by 1 capture: net 2 warm-ups saved.
@@ -462,7 +415,7 @@ mod tests {
     #[test]
     fn disabled_warm_cache_is_a_cold_pass_through() {
         let mut cache = WarmCache::new(false);
-        let sc = warm_grid_scenario(1);
+        let sc = warm_grid_scenario();
         assert_eq!(cache.run(&sc).unwrap(), sc.run().unwrap());
         assert_eq!(cache.warmup_cycles_saved(), 0);
         assert!(cache.points.is_empty(), "nothing captured while disabled");
@@ -473,7 +426,7 @@ mod tests {
         // No warm-up: capture_warm declines, the cache runs cold and
         // remembers the miss (no repeated capture attempts).
         let mut cache = WarmCache::new(true);
-        let sc = warm_grid_scenario(1).warmup(0);
+        let sc = warm_grid_scenario().warmup(0);
         let report = cache.run(&sc).unwrap();
         assert_eq!(report, sc.run().unwrap());
         assert_eq!(cache.warmup_cycles_saved(), 0);

@@ -326,11 +326,11 @@ fn active_stepping_saves_work_at_low_injection_on_both_engines() {
 // be invisible in every observable — the full `SimReport` (state digest
 // included) must match the cycle-by-cycle reference bit for bit, on both
 // engines, across every traffic class, at idle / mid / saturated operating
-// points, and at every shard thread count.
+// points.
 // ---------------------------------------------------------------------------
 
 #[test]
-fn time_skipping_is_bit_identical_across_engines_traffic_and_threads() {
+fn time_skipping_is_bit_identical_across_engines_and_traffic() {
     let mut scenarios = Vec::new();
     for &load in &LOADS {
         scenarios.push(patronoc_uniform_scenario(
@@ -381,22 +381,15 @@ fn time_skipping_is_bit_identical_across_engines_traffic_and_threads() {
             .budget(300_000),
     );
     for sc in &scenarios {
-        for threads in [1usize, 2, 4] {
-            let sc = sc.clone().threads(threads);
-            let reference = sc.clone().time_skip(false).run().expect("valid scenario");
-            let skipped = sc.clone().time_skip(true).run().expect("valid scenario");
-            assert_eq!(reference.cycles_skipped, 0, "reference must not skip");
-            assert_eq!(
-                reference, skipped,
-                "skip diverged for {:?} at {threads} threads",
-                sc.traffic
-            );
-            assert_eq!(
-                reference.state_digest, skipped.state_digest,
-                "digest diverged for {:?} at {threads} threads",
-                sc.traffic
-            );
-        }
+        let reference = sc.clone().time_skip(false).run().expect("valid scenario");
+        let skipped = sc.clone().time_skip(true).run().expect("valid scenario");
+        assert_eq!(reference.cycles_skipped, 0, "reference must not skip");
+        assert_eq!(reference, skipped, "skip diverged for {:?}", sc.traffic);
+        assert_eq!(
+            reference.state_digest, skipped.state_digest,
+            "digest diverged for {:?}",
+            sc.traffic
+        );
     }
 }
 
@@ -485,10 +478,9 @@ fn synthetic_cfg(load: f64) -> SyntheticConfig {
 /// Idle / mid / saturated operating points.
 const LOADS: [f64; 3] = [0.001, 0.3, 1.0];
 
-fn run_patronoc_uniform(load: f64, i: usize, threads: usize) -> Golden {
+fn run_patronoc_uniform(load: f64, i: usize) -> Golden {
     let axi = AxiParams::new(32, 32, 4, 8).expect("valid parameters");
-    let mut cfg = NocConfig::new(axi, Topology::mesh4x4());
-    cfg.threads = threads;
+    let cfg = NocConfig::new(axi, Topology::mesh4x4());
     let mut sim = NocSim::new(cfg).expect("valid configuration");
     let mut src = UniformRandom::new_copies(golden_uniform_cfg(
         load,
@@ -519,11 +511,8 @@ fn run_patronoc_dnn(workload: DnnWorkload) -> Golden {
     Golden::of(&sim.run(&mut src, 500_000_000, 0))
 }
 
-fn run_packet_uniform(load: f64, threads: usize) -> Golden {
-    let mut sim = PacketNocSim::new(PacketNocConfig {
-        threads,
-        ..PacketNocConfig::noxim_compact()
-    });
+fn run_packet_uniform(load: f64) -> Golden {
+    let mut sim = PacketNocSim::new(PacketNocConfig::noxim_compact());
     let mut src = UniformRandom::new(golden_uniform_cfg(load, 100, 77));
     Golden::of(&sim.run(&mut src, WARMUP + WINDOW, WARMUP))
 }
@@ -608,33 +597,9 @@ const PACKET_UNIFORM_GOLDENS: [Golden; 3] = [
 fn patronoc_uniform_matches_pre_refactor_reports() {
     for (i, &load) in LOADS.iter().enumerate() {
         assert_eq!(
-            run_patronoc_uniform(load, i, 1),
+            run_patronoc_uniform(load, i),
             PATRONOC_UNIFORM_GOLDENS[i],
             "patronoc uniform diverged at load {load}"
-        );
-    }
-}
-
-#[test]
-fn sharded_runs_match_the_pinned_goldens() {
-    // Region-sharded execution must reproduce the pre-refactor golden
-    // reports bit for bit — not merely match a fresh serial run. The
-    // thread count comes from `BENCH_THREADS` (CI runs the suite at 2);
-    // default 2 so a plain `cargo test` exercises sharding too.
-    let threads = std::env::var("BENCH_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(2);
-    for (i, &load) in LOADS.iter().enumerate() {
-        assert_eq!(
-            run_patronoc_uniform(load, i, threads),
-            PATRONOC_UNIFORM_GOLDENS[i],
-            "sharded patronoc uniform diverged at load {load} ({threads} threads)"
-        );
-        assert_eq!(
-            run_packet_uniform(load, threads),
-            PACKET_UNIFORM_GOLDENS[i],
-            "sharded packet uniform diverged at load {load} ({threads} threads)"
         );
     }
 }
@@ -706,7 +671,7 @@ fn patronoc_dnn_matches_pre_refactor_reports() {
 fn packet_uniform_matches_pre_refactor_reports() {
     for (i, &load) in LOADS.iter().enumerate() {
         assert_eq!(
-            run_packet_uniform(load, 1),
+            run_packet_uniform(load),
             PACKET_UNIFORM_GOLDENS[i],
             "packet uniform diverged at load {load}"
         );

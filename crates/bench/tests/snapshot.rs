@@ -1,7 +1,7 @@
 //! Checkpoint/restore pinning matrix: `Engine::snapshot` → `restore` →
 //! run must be **bit-identical** to running straight through, for both
-//! engines, every traffic class, every operating point, both stepping
-//! modes and across thread counts — a snapshot is a complete capture of
+//! engines, every traffic class, every operating point and both stepping
+//! modes — a snapshot is a complete capture of
 //! deterministic simulation state, and warm-start forking (see
 //! `scenario::warm` and `bench::sweep::WarmCache`) is therefore a
 //! wall-clock-only optimization.
@@ -101,13 +101,8 @@ fn warm_forks_match_cold_runs_across_the_traffic_matrix() {
     for (what, sc) in matrix() {
         let cold = sc.run().expect("valid scenario");
         let warm = capture_warm(&sc).expect("every matrix source checkpoints");
-        // Thread count is outside the warm key: the same capture serves
-        // the serial fork and a region-sharded one.
-        for threads in [1usize, 2] {
-            let variant = sc.clone().threads(threads);
-            let forked = run_warm(&variant, &warm).expect("warm fork runs");
-            assert_bit_identical(&cold, &forked, &format!("{what} @ {threads} threads"));
-        }
+        let forked = run_warm(&sc, &warm).expect("warm fork runs");
+        assert_bit_identical(&cold, &forked, &what);
     }
 }
 

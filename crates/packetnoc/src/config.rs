@@ -53,11 +53,6 @@ pub struct PacketNocConfig {
     /// [`full_sweep`](Self::full_sweep) forces it off: the debug sweep
     /// steps every cycle by definition.
     pub time_skip: bool,
-    /// Worker threads for region-sharded execution of this one simulation
-    /// (1 = serial). The mesh is split into contiguous row bands, one
-    /// worker each; results are bit-identical at any thread count — the
-    /// equivalence suite pins that — so this knob trades wall clock only.
-    pub threads: usize,
     /// Two-regime scheduler thresholds (saturated-regime entry/exit). The
     /// default reproduces the previously hard-coded
     /// [`simkit::sched::SATURATE_ENTER`] / [`simkit::sched::SATURATE_EXIT`]
@@ -81,7 +76,6 @@ impl PacketNocConfig {
             ni_queue_cap: 64,
             full_sweep: false,
             time_skip: true,
-            threads: 1,
             saturate: SaturateThresholds::default(),
         }
     }
@@ -117,7 +111,6 @@ impl PacketNocConfig {
         assert!(self.packet_flits >= 2, "need head + at least one more flit");
         assert!(self.payload_per_packet >= 1, "packet must carry payload");
         assert!(self.ni_queue_cap >= 1, "NI queue must hold a transfer");
-        assert!(self.threads >= 1, "need at least one worker thread");
     }
 }
 
@@ -144,6 +137,31 @@ mod tests {
         assert_eq!((c.vcs, c.buf_flits), (1, 4));
         assert_eq!((h.vcs, h.buf_flits), (4, 32));
         assert_eq!(c.packet_flits, h.packet_flits);
+    }
+
+    #[test]
+    fn node_count_is_the_mesh_size() {
+        assert_eq!(PacketNocConfig::noxim_compact().num_nodes(), 16);
+        let cfg = PacketNocConfig {
+            cols: 3,
+            rows: 2,
+            ..PacketNocConfig::default()
+        };
+        cfg.assert_valid();
+        assert_eq!(cfg.num_nodes(), 6);
+    }
+
+    #[test]
+    fn both_profiles_default_to_the_event_driven_path() {
+        // Active stepping with time skipping is the default; the full
+        // sweep is the opt-in reference.
+        for cfg in [
+            PacketNocConfig::default(),
+            PacketNocConfig::noxim_high_performance(),
+        ] {
+            assert!(cfg.time_skip);
+            assert!(!cfg.full_sweep);
+        }
     }
 
     #[test]

@@ -11,11 +11,8 @@
 use crate::config::PacketNocConfig;
 use crate::ni::NetworkInterface;
 use crate::router::{Flit, FlitKind, Port, Router, LOCAL, PORTS};
-use crate::shard::{ShardBufView, Sharding};
 use crate::snapcodec::{corrupt, decode_transfer, encode_transfer};
 use crate::txn::{TxHandle, TxRecord};
-use simkit::pool::{crew_scope, Crew};
-use simkit::region::{DisjointSlots, RegionMap};
 use simkit::sched::ActiveSet;
 use simkit::slab::SlabStats;
 use simkit::snap::{DecodeLimits, Decoder, Encoder, SnapError};
@@ -26,10 +23,6 @@ use simkit::{
 
 use traffic::TrafficSource;
 
-/// Per-region slot → canonical record number map (see
-/// [`PacketNocSim::canonical_txs`]).
-type CanonMap = Vec<Vec<Option<u32>>>;
-
 /// The packet-based baseline NoC simulator.
 #[derive(Debug)]
 pub struct PacketNocSim {
@@ -37,19 +30,10 @@ pub struct PacketNocSim {
     routers: Vec<Router>,
     bufs: Vec<Fifo<Flit>>,
     nis: Vec<NetworkInterface>,
-    /// Arena of every in-flight transfer — one slab per region (a single
-    /// slab when serial, preserving the historical allocation sequence):
-    /// allocated at injection ([`poll_stimulus`](Self::poll_stimulus)) in
-    /// the *source* node's region, its handle carried by every flit of the
-    /// transfer, freed when the last tail delivers (the flit's `src` names
-    /// the owning slab).
-    txs: Vec<Slab<TxRecord>>,
-    /// node → region owning its NI's transaction records (all zeros when
-    /// serial).
-    node_region: Vec<u32>,
-    /// The region partition when `cfg.threads > 1` splits the mesh into
-    /// more than one row band; `None` runs the classic serial sweeps.
-    sharding: Option<Sharding>,
+    /// Arena of every in-flight transfer: allocated at injection
+    /// ([`poll_stimulus`](Self::poll_stimulus)), its handle carried by
+    /// every flit of the transfer, freed when the last tail delivers.
+    txs: Slab<TxRecord>,
     now: Cycle,
     meter: ThroughputMeter,
     packets_delivered: u64,
@@ -112,34 +96,12 @@ impl PacketNocSim {
             hot_nis.insert(i);
             hot_routers.insert(i);
         }
-        let map = RegionMap::new(cfg.cols, cfg.rows, cfg.threads.max(1));
-        let sharding = (cfg.threads > 1 && map.regions() > 1).then(|| {
-            // The router pushing into input port `p` of `node` is the
-            // neighbour in direction `p` (its opposite-facing output).
-            let (cols, rows) = (cfg.cols, cfg.rows);
-            let ports = [Port::North, Port::East, Port::South, Port::West];
-            Sharding::new(&map, cfg.vcs, &|node, p| {
-                Self::neighbor(cols, rows, node, ports[p])
-            })
-        });
-        let regions = sharding.as_ref().map_or(1, |s| s.ctxs.len());
-        let node_region = (0..n)
-            .map(|i| {
-                if sharding.is_some() {
-                    u32::try_from(map.region_of(i)).expect("region fits u32")
-                } else {
-                    0
-                }
-            })
-            .collect();
         Self {
             cfg,
             routers,
             bufs,
             nis,
-            txs: (0..regions).map(|_| Slab::new()).collect(),
-            node_region,
-            sharding,
+            txs: Slab::new(),
             now: 0,
             meter: ThroughputMeter::new(0),
             packets_delivered: 0,
@@ -219,41 +181,13 @@ impl PacketNocSim {
         warmup: Cycle,
     ) -> SimReport {
         self.begin_measurement(self.now + warmup);
-        if self.sharding.is_some() {
-            // Sharded cycles are parallel full sweeps: there is no per-item
-            // activity tracking across regions, so run in the saturated
-            // regime (empty sets, full-sweep semantics). Serial stepping
-            // after this run remains exact — the saturated regime is a
-            // legal scheduler state it knows how to leave.
-            self.saturated = true;
-            self.hot_bufs.clear();
-            self.hot_nis.clear();
-            self.hot_routers.clear();
-            let workers = self.sharding.as_ref().map_or(1, |s| s.ctxs.len());
-            crew_scope(workers, |crew| {
-                self.run_loop(source, max_cycles, Some(crew))
-            })
-        } else {
-            self.run_loop(source, max_cycles, None)
-        }
-    }
-
-    fn run_loop<S: TrafficSource + ?Sized>(
-        &mut self,
-        source: &mut S,
-        max_cycles: Cycle,
-        crew: Option<&Crew<'_>>,
-    ) -> SimReport {
         let deadline = self.now + max_cycles;
         self.stop_reason = StopReason::Budget;
         let mut watchdog = ProgressWatchdog::new(self.now, self.progress_marker());
         let wall_start = std::time::Instant::now();
         let first_cycle = self.now;
         while self.now < deadline {
-            match crew {
-                Some(crew) => self.step_sharded(source, crew),
-                None => self.step(source),
-            }
+            self.step(source);
             if let Some(since) = watchdog.observe(self.now, self.progress_marker()) {
                 if self.is_drained() {
                     // Not a stall: merely idle between sparse arrivals.
@@ -314,7 +248,6 @@ impl PacketNocSim {
             } else {
                 0.0
             },
-            threads: self.cfg.threads,
             slab_high_water: slab.high_water,
             allocs_per_kilocycle: slab.allocs as f64 * 1000.0 / self.now.max(1) as f64,
             cycles_skipped: self.cycles_skipped,
@@ -325,7 +258,7 @@ impl PacketNocSim {
     /// Whether no packet is in flight and all NIs are idle.
     #[must_use]
     pub fn is_drained(&self) -> bool {
-        self.txs.iter().all(Slab::is_empty) && self.nis.iter().all(NetworkInterface::is_idle)
+        self.txs.is_empty() && self.nis.iter().all(NetworkInterface::is_idle)
     }
 
     /// The engine's half of the event-horizon contract
@@ -396,10 +329,7 @@ impl PacketNocSim {
     /// [`SimReport::allocs_per_kilocycle`] are derived from.
     #[must_use]
     pub fn allocation_stats(&self) -> SlabStats {
-        self.txs
-            .iter()
-            .map(Slab::stats)
-            .fold(SlabStats::default(), SlabStats::merge)
+        self.txs.stats()
     }
 
     /// Cumulative scheduler work: buffer refreshes plus NI/router steps,
@@ -440,13 +370,11 @@ impl PacketNocSim {
                 let Some(t) = source.poll(node, self.now) else {
                     break;
                 };
-                // The transaction's single allocation: one arena record in
-                // the source node's region, carried by handle in every
-                // flit until retirement.
+                // The transaction's single allocation: one arena record,
+                // carried by handle in every flit until retirement.
                 let packets = self.nis[node].packets_for(t.bytes);
-                let txs = &mut self.txs[self.node_region[node] as usize];
-                let h = txs.alloc(TxRecord::new(node, t, packets));
-                self.nis[node].enqueue(txs, h);
+                let h = self.txs.alloc(TxRecord::new(node, t, packets));
+                self.nis[node].enqueue(&mut self.txs, h);
                 wake(node);
             }
         }
@@ -460,13 +388,11 @@ impl PacketNocSim {
         if f.kind == FlitKind::Tail {
             self.packets_delivered += 1;
             self.latency.record(self.now.saturating_sub(f.injected_at));
-            // The record lives in the *source* node's region slab.
-            let txs = &mut self.txs[self.node_region[f.src] as usize];
-            let tx = &mut txs[f.tx];
+            let tx = &mut self.txs[f.tx];
             tx.undelivered -= 1;
             if tx.undelivered == 0 {
                 // Retirement: the last tail frees the arena record.
-                let tx = txs.free(f.tx);
+                let tx = self.txs.free(f.tx);
                 self.transfers_completed += 1;
                 completions.push((tx.src, tx.transfer.id));
             }
@@ -491,8 +417,7 @@ impl PacketNocSim {
         for node in 0..self.cfg.num_nodes() {
             let bufs = &mut self.bufs;
             let now = self.now;
-            let txs = &mut self.txs[self.node_region[node] as usize];
-            self.nis[node].step(now, vcs, txs, |vc, flit| {
+            self.nis[node].step(now, vcs, &mut self.txs, |vc, flit| {
                 let idx = Router::buf_index(node, LOCAL, vc, vcs);
                 bufs[idx].push(flit).is_ok()
             });
@@ -603,8 +528,7 @@ impl PacketNocSim {
             let bufs = &mut self.bufs;
             let hot_bufs = &mut self.hot_bufs;
             let now = self.now;
-            let txs = &mut self.txs[self.node_region[node] as usize];
-            self.nis[node].step(now, vcs, txs, |vc, flit| {
+            self.nis[node].step(now, vcs, &mut self.txs, |vc, flit| {
                 let idx = Router::buf_index(node, LOCAL, vc, vcs);
                 let accepted = bufs[idx].push(flit).is_ok();
                 if accepted {
@@ -641,107 +565,6 @@ impl PacketNocSim {
         self.now += 1;
         tracked
     }
-
-    /// One region-sharded cycle (see [`crate::shard`]): a serial pre-phase
-    /// refreshes boundary buffers and hands each pushing region a credit
-    /// mirror, every region then sweeps its row band on its own worker,
-    /// and a serial commit replays boundary pushes in ascending buffer
-    /// order and delivery bookkeeping in ascending region (= ascending
-    /// node) order — bit-identical to the serial full sweep.
-    fn step_sharded<S: TrafficSource + ?Sized>(&mut self, source: &mut S, crew: &Crew<'_>) {
-        let mut sharding = self
-            .sharding
-            .take()
-            .expect("step_sharded without a partition");
-        let vcs = self.cfg.vcs;
-        let (cols, rows) = (self.cfg.cols, self.cfg.rows);
-        self.work_items += (self.bufs.len() + 2 * self.nis.len()) as u64;
-        // Serial pre-phase: refresh boundary buffers and capture their
-        // fresh snapshots into the pushing regions' credit mirrors.
-        for &(b, pr) in &sharding.boundary {
-            self.bufs[b].begin_cycle();
-            let ctx = &mut sharding.ctxs[pr as usize];
-            let mi = ctx.mirror_of[b] as usize;
-            ctx.mirrors[mi].capture(&self.bufs[b]);
-        }
-        self.poll_stimulus(source, |_| {});
-        {
-            let bufs = DisjointSlots::new(&mut self.bufs);
-            let routers = DisjointSlots::new(&mut self.routers);
-            let nis = DisjointSlots::new(&mut self.nis);
-            let txs = DisjointSlots::new(&mut self.txs);
-            let ctxs = DisjointSlots::new(&mut sharding.ctxs);
-            let node_region = self.node_region.as_slice();
-            let now = self.now;
-            let neighbor = move |node: usize, p: Port| Self::neighbor(cols, rows, node, p);
-            crew.run(&|r| {
-                // SAFETY (all accesses below): region `r` runs on exactly
-                // one worker, and a region's context, transaction slab,
-                // NIs, routers and non-boundary buffers are touched by
-                // that worker alone — the partition is disjoint by
-                // construction, and foreign buffers resolve to mirrors.
-                let ctx = unsafe { ctxs.get_mut(r) };
-                for &b in &ctx.interior_bufs {
-                    // SAFETY: ctx.interior_bufs holds only buffers interior
-                    // to region r.
-                    unsafe { bufs.get_mut(b) }.begin_cycle();
-                }
-                // SAFETY: the transaction slab is per-region, indexed by r
-                // itself — each slot touched by its own worker only.
-                let region_txs = unsafe { txs.get_mut(r) };
-                for node in ctx.nodes.clone() {
-                    // SAFETY: ctx.nodes is region r's node band; each NI
-                    // belongs to exactly one node.
-                    let ni = unsafe { nis.get_mut(node) };
-                    ni.step(now, vcs, region_txs, |vc, flit| {
-                        let idx = Router::buf_index(node, LOCAL, vc, vcs);
-                        // SAFETY: the NI always injects into its own node's
-                        // LOCAL input buffer (idx above) — never across a
-                        // region boundary — and node is in region r's band.
-                        unsafe { bufs.get_mut(idx) }.push(flit).is_ok()
-                    });
-                }
-                let mut view = ShardBufView {
-                    bufs: &bufs,
-                    node_region,
-                    bufs_per_node: PORTS * vcs,
-                    region: u32::try_from(r).expect("region fits u32"),
-                    mirror_of: &ctx.mirror_of,
-                    mirrors: &mut ctx.mirrors,
-                };
-                for node in ctx.nodes.clone() {
-                    // SAFETY: ctx.nodes is region r's node band; foreign
-                    // buffers resolve to mirrors inside the view.
-                    let delivered =
-                        unsafe { routers.get_mut(node) }.step(&mut view, &neighbor, &mut |_| {});
-                    ctx.deliveries.extend(delivered);
-                }
-            });
-        }
-        // Serial commit: boundary pushes in ascending buffer order, then
-        // delivery bookkeeping region by region — regions are ascending
-        // node bands swept in ascending router order, so this is exactly
-        // the serial sweep's ascending-node delivery sequence.
-        for &(b, pr) in &sharding.boundary {
-            let ctx = &mut sharding.ctxs[pr as usize];
-            let mi = ctx.mirror_of[b] as usize;
-            ctx.mirrors[mi].commit(&mut self.bufs[b]);
-        }
-        let mut completions: Vec<(usize, u64)> = Vec::new();
-        for r in 0..sharding.ctxs.len() {
-            let mut deliveries = std::mem::take(&mut sharding.ctxs[r].deliveries);
-            for d in deliveries.drain(..) {
-                self.on_delivery(d.flit, &mut completions);
-            }
-            // Hand the (empty) allocation back for the next cycle.
-            sharding.ctxs[r].deliveries = deliveries;
-        }
-        for (src, id) in completions {
-            source.on_complete(src, id, self.now);
-        }
-        self.now += 1;
-        self.sharding = Some(sharding);
-    }
 }
 
 /// Checkpointing: compact binary snapshots of the complete deterministic
@@ -755,10 +578,9 @@ impl PacketNocSim {
 /// measurement runs off one warm-up.
 ///
 /// Slab handles are never serialized raw: slot indices are allocation
-/// accidents (they differ across thread counts and across a restore), so
-/// records are numbered by a canonical first-reference traversal and every
-/// flit, queue entry and emission references that number instead — see
-/// `canonical_txs`.
+/// accidents (they differ across a restore), so records are numbered by a
+/// canonical first-reference traversal and every flit, queue entry and
+/// emission references that number instead — see `canonical_txs`.
 impl PacketNocSim {
     /// This engine's discriminant in the snapshot header.
     pub const SNAP_KIND: u8 = 2;
@@ -766,7 +588,7 @@ impl PacketNocSim {
     /// Configuration fingerprint carried in the snapshot header: FNV-1a 64
     /// over the canonical encoding of every behaviour-affecting
     /// configuration field. The stepping-strategy knobs —
-    /// [`PacketNocConfig::threads`], [`PacketNocConfig::full_sweep`] and
+    /// [`PacketNocConfig::full_sweep`], [`PacketNocConfig::time_skip`] and
     /// the saturate thresholds — are deliberately **excluded**: every
     /// stepping strategy evolves bit-identical state (pinned by the
     /// equivalence tests), so a snapshot is portable across all of them
@@ -803,11 +625,10 @@ impl PacketNocSim {
     /// delivery counters and latency histogram they feed. Excluded on
     /// purpose — the meter (its warm-up split differs between a straight
     /// run and a warm-started fork measuring the same window), the
-    /// scheduler and slab telemetry (both differ between serial and
-    /// sharded stepping while the simulated hardware state does not), and
-    /// the stop reason. Equal digests ⇔ equal hardware state, which is
-    /// what the serial-vs-sharded and straight-vs-fork equivalence tests
-    /// assert.
+    /// scheduler (it differs between active and full-sweep stepping while
+    /// the simulated hardware state does not), slab telemetry, and the
+    /// stop reason. Equal digests ⇔ equal hardware state, which is what
+    /// the stepping-mode and straight-vs-fork equivalence tests assert.
     #[must_use]
     pub fn state_digest(&self) -> u64 {
         let mut e = Encoder::new(Self::SNAP_KIND, self.shape());
@@ -818,37 +639,37 @@ impl PacketNocSim {
     /// Enumerates every live arena record in canonical first-reference
     /// order: NI queues (then the in-emission record) in ascending node
     /// order, then buffered flits in ascending buffer order. Returns the
-    /// per-region slot → canonical-number map alongside the ordered
-    /// records.
+    /// slot → canonical-number map alongside the ordered records.
     ///
     /// Every live record is reachable: a record with unsent packets sits
     /// in its NI's queue (or is the packet mid-emission), and a record
     /// fully serialized but not yet retired still has an undelivered tail
     /// flit in some buffer — asserted below, since an unreachable record
     /// would silently vanish from the snapshot.
-    fn canonical_txs(&self) -> (CanonMap, Vec<(u32, TxHandle)>) {
-        let mut map: CanonMap = vec![Vec::new(); self.txs.len()];
-        let mut order: Vec<(u32, TxHandle)> = Vec::new();
-        let mut note = |region: usize, h: TxHandle| {
-            let slots = &mut map[region];
+    fn canonical_txs(&self) -> (Vec<Option<u32>>, Vec<TxHandle>) {
+        let mut map: Vec<Option<u32>> = Vec::new();
+        let mut order: Vec<TxHandle> = Vec::new();
+        let mut note = |h: TxHandle| {
             let slot = h.index();
-            if slot >= slots.len() {
-                slots.resize(slot + 1, None);
+            if slot >= map.len() {
+                map.resize(slot + 1, None);
             }
-            if slots[slot].is_none() {
-                slots[slot] = Some(u32::try_from(order.len()).expect("record count fits u32"));
-                order.push((u32::try_from(region).expect("region fits u32"), h));
+            if map[slot].is_none() {
+                map[slot] = Some(u32::try_from(order.len()).expect("record count fits u32"));
+                order.push(h);
             }
         };
-        for (node, ni) in self.nis.iter().enumerate() {
-            let region = self.node_region[node] as usize;
-            ni.for_each_tx(&self.txs[region], |h| note(region, h));
+        for ni in &self.nis {
+            ni.for_each_tx(&self.txs, &mut note);
         }
         for f in self.bufs.iter().flat_map(Fifo::iter) {
-            note(self.node_region[f.src] as usize, f.tx);
+            note(f.tx);
         }
-        let live: usize = self.txs.iter().map(Slab::len).sum();
-        assert_eq!(order.len(), live, "every live record must be referenced");
+        assert_eq!(
+            order.len(),
+            self.txs.len(),
+            "every live record must be referenced"
+        );
         (map, order)
     }
 
@@ -858,8 +679,7 @@ impl PacketNocSim {
     /// [`state_digest`](Self::state_digest)).
     fn encode_state(&self, e: &mut Encoder, full: bool) {
         let (canon, order) = self.canonical_txs();
-        let canon_of =
-            |region: usize, h: TxHandle| u64::from(canon[region][h.index()].expect("live record"));
+        let canon_of = |h: TxHandle| u64::from(canon[h.index()].expect("live record"));
         e.section(1, |e| {
             e.u64(self.now);
             if full {
@@ -875,8 +695,8 @@ impl PacketNocSim {
         }
         e.section(3, |e| {
             e.usize(order.len());
-            for &(region, h) in &order {
-                let rec = &self.txs[region as usize][h];
+            for &h in &order {
+                let rec = &self.txs[h];
                 e.usize(rec.src);
                 encode_transfer(e, &rec.transfer);
                 e.u64(rec.to_send);
@@ -884,9 +704,8 @@ impl PacketNocSim {
             }
         });
         e.section(4, |e| {
-            for (node, ni) in self.nis.iter().enumerate() {
-                let region = self.node_region[node] as usize;
-                ni.encode_state(e, &self.txs[region], &mut |h| canon_of(region, h));
+            for ni in &self.nis {
+                ni.encode_state(e, &self.txs, &mut |h| canon_of(h));
             }
         });
         e.section(5, |e| {
@@ -897,7 +716,7 @@ impl PacketNocSim {
                         FlitKind::Body => 1,
                         FlitKind::Tail => 2,
                     });
-                    e.u64(canon_of(self.node_region[f.src] as usize, f.tx));
+                    e.u64(canon_of(f.tx));
                     e.u32(f.payload);
                     e.u64(f.injected_at);
                 });
@@ -940,7 +759,7 @@ impl PacketNocSim {
     /// current state is left untouched.
     ///
     /// The snapshot must come from an engine whose configuration matches
-    /// this one's [`shape`](Self::shape); thread count may differ.
+    /// this one's [`shape`](Self::shape); stepping knobs may differ.
     ///
     /// # Errors
     ///
@@ -978,11 +797,9 @@ impl PacketNocSim {
         let end = d.begin_section(2)?;
         self.meter = ThroughputMeter::decode(&mut d)?;
         d.end_section(end)?;
-        // The canonical record table: re-allocate every record in its
-        // source node's region slab (this engine's own partition, so a
-        // snapshot from a differently-threaded engine lands correctly)
-        // and remember handle, source and destination per canonical
-        // number for the reference decoders below.
+        // The canonical record table: re-allocate every record and
+        // remember handle, source and destination per canonical number
+        // for the reference decoders below.
         let end = d.begin_section(3)?;
         let n_rec = d.count("transfer records")?;
         let mut canon: Vec<(TxHandle, usize, usize)> = Vec::with_capacity(n_rec);
@@ -999,8 +816,7 @@ impl PacketNocSim {
                 return Err(corrupt("record packet accounting out of bounds"));
             }
             let dst = transfer.dst;
-            let region = self.node_region[src] as usize;
-            let h = self.txs[region].alloc(TxRecord {
+            let h = self.txs.alloc(TxRecord {
                 src,
                 transfer,
                 to_send,
@@ -1012,11 +828,10 @@ impl PacketNocSim {
         let end = d.begin_section(4)?;
         {
             let mut queued = vec![false; canon.len()];
-            for node in 0..nodes {
-                let region = self.node_region[node] as usize;
-                self.nis[node].restore_state(
+            for ni in &mut self.nis {
+                ni.restore_state(
                     &mut d,
-                    &mut self.txs[region],
+                    &mut self.txs,
                     self.cfg.vcs,
                     &mut |idx, exclusive| {
                         let i = usize::try_from(idx)
@@ -1093,10 +908,10 @@ impl PacketNocSim {
         d.finish()?;
         // Telemetry continuation: restoring re-allocated every live record,
         // so credit the arena family with the snapshot's history minus
-        // what rebuilding already counted (saturating: a snapshot from a
-        // differently-sharded engine may fragment differently).
+        // what rebuilding already counted (saturating, so a crafted
+        // snapshot cannot underflow the counters).
         let s = self.allocation_stats();
-        self.txs[0].absorb_stats(
+        self.txs.absorb_stats(
             allocs.saturating_sub(s.allocs),
             high_water.saturating_sub(s.high_water),
         );
@@ -1403,61 +1218,6 @@ mod tests {
         assert_eq!(report.cycles_skipped, 0, "the reference path never skips");
     }
 
-    /// Runs the same Poisson workload region-sharded across `threads`
-    /// workers.
-    fn run_threaded(threads: usize, load: f64, window: u64) -> (simkit::SimReport, u64) {
-        let cfg = PacketNocConfig {
-            threads,
-            ..PacketNocConfig::noxim_high_performance()
-        };
-        let mut sim = PacketNocSim::new(cfg);
-        let mut src = traffic::UniformRandom::new(traffic::UniformConfig {
-            masters: 16,
-            slaves: (0..16).collect(),
-            load,
-            bytes_per_cycle: 4.0,
-            max_transfer: 100,
-            read_fraction: 0.5,
-            region_size: 1 << 24,
-            seed: 0x5EED,
-        });
-        let report = sim.run(&mut src, window, window / 5);
-        (report, sim.packets_delivered())
-    }
-
-    #[test]
-    fn sharded_stepping_is_bit_identical_to_serial() {
-        for load in [0.001, 0.3, 1.0] {
-            let serial = run_threaded(1, load, 20_000);
-            for threads in [2, 3, 4, 8] {
-                let sharded = run_threaded(threads, load, 20_000);
-                assert_eq!(
-                    serial, sharded,
-                    "results differ at load {load} with {threads} threads"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_sim_can_keep_stepping_serially_after_a_run() {
-        // A sharded run leaves the scheduler in the saturated regime;
-        // manual serial stepping afterwards must still drain correctly.
-        let cfg = PacketNocConfig {
-            threads: 4,
-            ..PacketNocConfig::noxim_compact()
-        };
-        let mut sim = PacketNocSim::new(cfg);
-        let mut src = OneEach::new(16, 100);
-        sim.run(&mut src, 64, 0); // stop with packets still in flight
-        assert!(!sim.is_drained(), "the run window was chosen mid-flight");
-        while !(src.is_done() && sim.is_drained()) {
-            sim.step(&mut src);
-            assert!(sim.now() < 1_000_000, "serial drain stalled");
-        }
-        assert_eq!(src.completed, 16);
-    }
-
     #[test]
     fn active_stepping_skips_most_work_when_idle() {
         let [(_, _, full_work), (_, _, active_work)] = run_both_modes(0.001, 50_000);
@@ -1549,16 +1309,75 @@ mod tests {
     /// A clonable Poisson-ish stimulus with plenty of in-flight state at any
     /// capture point.
     fn poisson(seed: u64) -> traffic::UniformRandom {
+        uniform_at(0.6, seed)
+    }
+
+    fn uniform_at(load: f64, seed: u64) -> traffic::UniformRandom {
         traffic::UniformRandom::new_copies(traffic::UniformConfig {
             masters: 16,
             slaves: (0..16).collect(),
-            load: 0.6,
+            load,
             bytes_per_cycle: 4.0,
             max_transfer: 100,
             read_fraction: 0.5,
             region_size: 1 << 24,
             seed,
         })
+    }
+
+    #[test]
+    fn sim_can_keep_stepping_after_a_run() {
+        // A run that stops on its budget with packets still in flight
+        // leaves the engine mid-transfer; stepping by hand afterwards must
+        // drain it.
+        let mut sim = PacketNocSim::new(PacketNocConfig::noxim_compact());
+        let mut src = OneEach::new(16, 100);
+        sim.run(&mut src, 64, 0);
+        assert!(!sim.is_drained(), "the run window was chosen mid-flight");
+        while !(src.is_done() && sim.is_drained()) {
+            sim.step(&mut src);
+            assert!(sim.now() < 1_000_000, "hand-stepped drain stalled");
+        }
+        assert_eq!(src.completed, 16);
+    }
+
+    #[test]
+    fn hand_driven_step_loop_matches_run() {
+        // `run` is `begin_measurement` plus the cycle loop; a caller that
+        // arms the meter and steps every cycle itself (never skipping)
+        // must reach the same report and the same hardware state.
+        for load in [0.001, 0.3, 1.0] {
+            let mut by_run = PacketNocSim::new(PacketNocConfig::noxim_high_performance());
+            let report = by_run.run(&mut uniform_at(load, 0x5EED), 6_000, 1_000);
+
+            let mut by_hand = PacketNocSim::new(PacketNocConfig::noxim_high_performance());
+            let mut src = uniform_at(load, 0x5EED);
+            by_hand.begin_measurement(1_000);
+            while by_hand.now() < 6_000 {
+                by_hand.step(&mut src);
+            }
+            assert_eq!(report, by_hand.snapshot_report(), "load {load}");
+            assert_eq!(by_run.state_digest(), by_hand.state_digest(), "load {load}");
+        }
+    }
+
+    #[test]
+    fn consecutive_runs_reach_the_state_of_one_long_run() {
+        // A run boundary clamps any time skip to the deadline and re-arms
+        // the meter, but must be invisible to the simulated hardware.
+        for load in [0.001, 0.6] {
+            let mut once = PacketNocSim::new(PacketNocConfig::noxim_high_performance());
+            once.run(&mut uniform_at(load, 3), 5_000, 0);
+
+            let mut split = PacketNocSim::new(PacketNocConfig::noxim_high_performance());
+            let mut src = uniform_at(load, 3);
+            split.run(&mut src, 2_000, 0);
+            split.run(&mut src, 3_000, 0);
+
+            assert_eq!(once.now(), split.now());
+            assert_eq!(once.packets_delivered(), split.packets_delivered());
+            assert_eq!(once.state_digest(), split.state_digest(), "load {load}");
+        }
     }
 
     #[test]
@@ -1577,26 +1396,6 @@ mod tests {
 
         assert_eq!(straight, replay);
         assert_eq!(sim.state_digest(), forked.state_digest());
-    }
-
-    #[test]
-    fn snapshot_is_portable_across_thread_counts() {
-        let mut serial = PacketNocSim::new(PacketNocConfig::noxim_high_performance());
-        let mut src = poisson(23);
-        serial.run(&mut src, 3_000, 0);
-        let bytes = serial.snapshot();
-        let mut forked_src = src.clone();
-
-        let serial_report = serial.run(&mut src, 2_000, 0);
-        let mut sharded = PacketNocSim::new(PacketNocConfig {
-            threads: 4,
-            ..PacketNocConfig::noxim_high_performance()
-        });
-        sharded.restore(&bytes).expect("snapshot restores");
-        let sharded_report = sharded.run(&mut forked_src, 2_000, 0);
-
-        assert_eq!(serial_report, sharded_report);
-        assert_eq!(serial.state_digest(), sharded.state_digest());
     }
 
     #[test]

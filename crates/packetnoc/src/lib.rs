@@ -42,13 +42,12 @@
 //! assert!(report.throughput_gib_s > 0.0);
 //! ```
 
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 
 pub mod config;
 pub mod engine;
 pub mod ni;
 pub mod router;
-pub mod shard;
 pub(crate) mod snapcodec;
 pub mod txn;
 

@@ -6,11 +6,10 @@
 //! (modelled by pushing directly into the downstream input buffer, whose
 //! two-phase occupancy *is* the credit count).
 
-use crate::shard::BufTable;
 use crate::snapcodec::corrupt;
 use crate::txn::TxHandle;
 use simkit::snap::{Decoder, Encoder, SnapError};
-use simkit::RoundRobinArbiter;
+use simkit::{Fifo, RoundRobinArbiter};
 
 /// Flit position within its packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -159,17 +158,15 @@ impl Router {
     }
 
     /// One switch-allocation cycle: for every output port, forward at most
-    /// one flit from an input VC. `bufs` is the engine's flat buffer array
-    /// — either the real `[Fifo<Flit>]` (serial sweep) or a region's
-    /// `ShardBufView`; `neighbor` maps an
-    /// output port to the neighbouring node. Flits switched to the local
+    /// one flit from an input VC. `bufs` is the engine's flat buffer
+    /// array; `neighbor` maps an output port to the neighbouring node. Flits switched to the local
     /// port are returned as deliveries; `on_push` is called with the
     /// downstream buffer index of every flit forwarded to a neighbour —
     /// the activity scheduler's precise wake signal (a credit-blocked
     /// router forwards nothing and wakes nobody).
-    pub fn step<B: BufTable + ?Sized>(
+    pub fn step(
         &mut self,
-        bufs: &mut B,
+        bufs: &mut [Fifo<Flit>],
         neighbor: &dyn Fn(usize, Port) -> Option<usize>,
         on_push: &mut dyn FnMut(usize),
     ) -> Vec<Delivery> {
@@ -201,7 +198,7 @@ impl Router {
                 }
                 for v in 0..vcs {
                     let bidx = Self::buf_index(self.node, i, v, vcs);
-                    let Some(flit) = bufs.peek(bidx) else {
+                    let Some(flit) = bufs[bidx].peek().copied() else {
                         continue;
                     };
                     // Route check at the head; locks carry body/tail flits.
@@ -221,7 +218,7 @@ impl Router {
                         None => true, // local delivery always accepted
                         Some(nb) => {
                             let didx = Self::buf_index(nb, out_port.opposite().index(), v, vcs);
-                            bufs.can_push(didx)
+                            bufs[didx].can_push()
                         }
                     };
                     if has_credit {
@@ -234,7 +231,7 @@ impl Router {
             };
             let (i, v) = (winner / vcs, winner % vcs);
             let bidx = Self::buf_index(self.node, i, v, vcs);
-            let flit = bufs.pop(bidx).expect("eligible flit exists");
+            let flit = bufs[bidx].pop().expect("eligible flit exists");
             // Update the wormhole lock.
             match flit.kind {
                 FlitKind::Head => self.out_lock[out * vcs + v] = Some(i),
@@ -245,7 +242,7 @@ impl Router {
                 None => delivered.push(Delivery { flit }),
                 Some(nb) => {
                     let didx = Self::buf_index(nb, out_port.opposite().index(), v, vcs);
-                    bufs.push(didx, flit); // credit checked above
+                    assert!(bufs[didx].push(flit).is_ok(), "push on full buffer"); // credit checked above
                     on_push(didx);
                 }
             }

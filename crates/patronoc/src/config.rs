@@ -74,13 +74,6 @@ pub struct NocConfig {
     /// the reference path stays runnable. [`full_sweep`](Self::full_sweep)
     /// forces it off: the debug sweep steps every cycle by definition.
     pub time_skip: bool,
-    /// Worker threads for region-sharded execution (default 1 = the serial
-    /// cycle loop). With more than one thread the mesh is partitioned into
-    /// contiguous row bands (at most one per row) that step in parallel
-    /// behind a per-cycle barrier; results are **bit-identical** for every
-    /// thread count — the equivalence suite pins that — so this knob trades
-    /// wall clock only.
-    pub threads: usize,
     /// Two-regime scheduler thresholds (saturated-regime entry/exit). The
     /// default reproduces the previously hard-coded
     /// [`simkit::sched::SATURATE_ENTER`] / [`simkit::sched::SATURATE_EXIT`]
@@ -110,7 +103,6 @@ impl NocConfig {
             slaves: (0..n).collect(),
             full_sweep: false,
             time_skip: true,
-            threads: 1,
             saturate: SaturateThresholds::default(),
         }
     }
@@ -225,6 +217,19 @@ mod tests {
             cfg.validate(),
             Err(ConfigError::ZeroParameter("dma_queue_cap"))
         );
+    }
+
+    #[test]
+    fn beat_width_follows_the_axi_data_width() {
+        for cfg in [NocConfig::slim_4x4(), NocConfig::wide_4x4()] {
+            assert_eq!(
+                cfg.bytes_per_beat() * 8,
+                u64::from(cfg.axi.data_width()),
+                "{:?}",
+                cfg.axi
+            );
+        }
+        assert_eq!(NocConfig::wide_4x4().bytes_per_beat(), 64, "DW = 512");
     }
 
     #[test]

@@ -199,8 +199,7 @@ impl DmaEngine {
 
     /// Advances one cycle. `link` is the engine's own link
     /// ([`Self::link`] in the global array — the only link it ever
-    /// touches, which is what lets a region shard hand each DMA just its
-    /// interior link); `txns`/`wstreams` are the arenas holding this DMA's
+    /// touches); `txns`/`wstreams` are the arenas holding this DMA's
     /// in-flight records; `meter` accumulates read payload delivered to
     /// this master (write payload is counted at the slave; a copy's read
     /// leg is *not* metered — its payload is counted once, at the

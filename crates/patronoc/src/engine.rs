@@ -25,14 +25,11 @@ use crate::config::NocConfig;
 use crate::endpoint::{DmaEngine, InflightTransfer, MemorySlave, ResolvedTransfer, WStream};
 use crate::link::AxiLink;
 use crate::routing::{connectivity_tables, Connectivity, RoutingAlgorithm};
-use crate::shard::{self, ShardLinkView, Sharding};
 use crate::snapcodec::corrupt;
 use crate::topology::{Dir, Topology, LOCAL, PORTS};
 use crate::xp::Xp;
 use axi::addr::Region;
 use axi::{AddressMap, ConfigError};
-use simkit::pool::{crew_scope, Crew};
-use simkit::region::{DisjointSlots, RegionMap};
 use simkit::sched::ActiveSet;
 use simkit::slab::SlabStats;
 use simkit::snap::{DecodeLimits, Decoder, Encoder, SnapError};
@@ -149,21 +146,12 @@ pub struct NocSim {
     mems: Vec<MemorySlave>,
     /// node → index into `dmas`.
     dma_of_node: Vec<Option<usize>>,
-    /// Arenas of every in-flight transfer, one per region (a single slab
-    /// when the instance is serial): allocated at injection
+    /// Arena of every in-flight transfer: allocated at injection
     /// ([`poll_stimulus`](Self::poll_stimulus)), owned by one DMA's
-    /// handle queue/active slot, freed on retirement. Per-region arenas
-    /// keep the parallel phase allocation-race-free; with one region the
-    /// allocation sequence is exactly the historical single-slab one.
-    txns: Vec<Slab<InflightTransfer>>,
-    /// Arenas of the W-channel streams currently being serialized (same
-    /// per-region split as `txns`).
-    wstreams: Vec<Slab<WStream>>,
-    /// DMA index → region owning its arenas (all zeros when serial).
-    dma_region: Vec<u32>,
-    /// The region partition, present when `cfg.threads > 1` splits the
-    /// topology into more than one row band.
-    sharding: Option<Sharding>,
+    /// handle queue/active slot, freed on retirement.
+    txns: Slab<InflightTransfer>,
+    /// Arena of the W-channel streams currently being serialized.
+    wstreams: Slab<WStream>,
     /// Reused buffer for per-cycle completion draining (no per-cycle
     /// `Vec`).
     finished_scratch: Vec<u64>,
@@ -266,47 +254,6 @@ impl NocSim {
         )
         .expect("uniform regions never overlap");
         let sched = Sched::new(ends, dmas.len(), mems.len(), n);
-        // Region partition for threaded runs: contiguous row bands. A ring
-        // degenerates to one row (never shardable); meshes and tori shard
-        // by rows — torus wrap links simply come out as boundary links,
-        // since classification looks at actual link endpoints, not
-        // geometry. One region means the serial engine, sharding-free.
-        let (cols, rows) = match topo {
-            Topology::Mesh { cols, rows } | Topology::Torus { cols, rows } => (cols, rows),
-            Topology::Ring { nodes } => (nodes, 1),
-        };
-        let region_map = RegionMap::new(cols, rows, cfg.threads.max(1));
-        let sharding = if cfg.threads > 1 && region_map.regions() > 1 {
-            let node_of = |c: Comp| match c {
-                Comp::Xp(i) => i,
-                Comp::Dma(i) => dmas[i].node(),
-                Comp::Mem(i) => mems[i].node(),
-            };
-            let link_nodes: Vec<(usize, usize)> = sched
-                .ends
-                .iter()
-                .map(|&(m, s)| (node_of(m), node_of(s)))
-                .collect();
-            let dma_nodes: Vec<usize> = dmas.iter().map(DmaEngine::node).collect();
-            let mem_nodes: Vec<usize> = mems.iter().map(MemorySlave::node).collect();
-            Some(Sharding::new(
-                &region_map,
-                &link_nodes,
-                &dma_nodes,
-                &mem_nodes,
-            ))
-        } else {
-            None
-        };
-        let regions = sharding.as_ref().map_or(1, |s| s.ctxs.len());
-        let dma_region = dmas
-            .iter()
-            .map(|d| {
-                sharding
-                    .as_ref()
-                    .map_or(0, |_| region_map.region_of(d.node()) as u32)
-            })
-            .collect();
         Ok(Self {
             cfg,
             links,
@@ -314,10 +261,8 @@ impl NocSim {
             dmas,
             mems,
             dma_of_node,
-            txns: (0..regions).map(|_| Slab::new()).collect(),
-            wstreams: (0..regions).map(|_| Slab::new()).collect(),
-            dma_region,
-            sharding,
+            txns: Slab::new(),
+            wstreams: Slab::new(),
             finished_scratch: Vec::new(),
             map,
             now: 0,
@@ -359,24 +304,11 @@ impl NocSim {
     /// callers driving the engine cycle by cycle via [`step`](Self::step).
     pub fn begin_measurement(&mut self, start: Cycle) {
         self.meter = ThroughputMeter::new(start);
-        // Shard meters share the cutoff so a byte recorded by a region is
-        // classified (warm-up vs window) exactly as the run meter would.
-        if let Some(s) = &mut self.sharding {
-            for ctx in &mut s.ctxs {
-                ctx.meter = ThroughputMeter::new(start);
-            }
-        }
     }
 
     /// Runs the simulation for at most `max_cycles`, measuring throughput
     /// after `warmup` cycles. Stops early when the source reports
     /// [`TrafficSource::is_done`] and the NoC has drained.
-    ///
-    /// With [`NocConfig::threads`] > 1 on a multi-row topology, the cycle
-    /// loop runs region-sharded: a crew of worker threads (reused across
-    /// the whole run) steps one row band each behind a per-cycle barrier,
-    /// with boundary links exchanged through mirrors in fixed link order.
-    /// The results are bit-identical to the serial loop.
     ///
     /// # Panics
     ///
@@ -390,44 +322,13 @@ impl NocSim {
         warmup: Cycle,
     ) -> SimReport {
         self.begin_measurement(self.now + warmup);
-        if self.sharding.is_some() {
-            // Sharded cycles are unconditional full sweeps. Park the
-            // scheduler in the saturated regime (its sets empty) so a
-            // caller stepping serially afterwards finds the exact state
-            // that regime's contract expects — `is_drained` full-scans,
-            // and the first serial `step_active` may desaturate and
-            // rebuild the sets from live state.
-            self.sched.saturated = true;
-            self.sched.hot_links.clear();
-            self.sched.dmas.clear();
-            self.sched.mems.clear();
-            self.sched.xps.clear();
-            let workers = self.sharding.as_ref().map_or(1, |s| s.ctxs.len());
-            crew_scope(workers, |crew| {
-                self.run_loop(source, max_cycles, Some(crew))
-            })
-        } else {
-            self.run_loop(source, max_cycles, None)
-        }
-    }
-
-    /// The timed cycle loop shared by the serial and sharded paths.
-    fn run_loop<S: TrafficSource + ?Sized>(
-        &mut self,
-        source: &mut S,
-        max_cycles: Cycle,
-        crew: Option<&Crew<'_>>,
-    ) -> SimReport {
         let deadline = self.now + max_cycles;
         let mut watchdog = ProgressWatchdog::new(self.now, self.progress_marker());
         self.stop_reason = StopReason::Budget;
         let wall_start = std::time::Instant::now();
         let first_cycle = self.now;
         while self.now < deadline {
-            match crew {
-                Some(crew) => self.step_sharded(source, crew),
-                None => self.step(source),
-            }
+            self.step(source);
             if let Some(since) = watchdog.observe(self.now, self.progress_marker()) {
                 if self.is_drained() {
                     // Not a stall: the NoC is simply idle (e.g. waiting for
@@ -511,15 +412,13 @@ impl NocSim {
                     _ => None,
                 };
                 // The transaction's single allocation: one arena record,
-                // flowing by handle until retirement frees it. The arena
-                // is the owning region's (slab 0 when serial).
-                let txns = &mut self.txns[self.dma_region[di] as usize];
-                let h = txns.alloc(InflightTransfer::new(ResolvedTransfer {
+                // flowing by handle until retirement frees it.
+                let h = self.txns.alloc(InflightTransfer::new(ResolvedTransfer {
                     transfer: t,
                     addr,
                     src_addr,
                 }));
-                self.dmas[di].enqueue(txns, h);
+                self.dmas[di].enqueue(&mut self.txns, h);
                 wake(di);
             }
         }
@@ -539,12 +438,11 @@ impl NocSim {
         self.poll_stimulus(source, |_| {});
         for di in 0..self.dmas.len() {
             let link = self.dmas[di].link();
-            let region = self.dma_region[di] as usize;
             self.dmas[di].step(
                 &mut self.links[link],
                 self.now,
-                &mut self.txns[region],
-                &mut self.wstreams[region],
+                &mut self.txns,
+                &mut self.wstreams,
                 &mut self.meter,
             );
         }
@@ -672,12 +570,11 @@ impl NocSim {
         // self-active while it holds any descriptor or outstanding burst.
         for &di in &dmas_now {
             let link = self.dmas[di].link();
-            let region = self.dma_region[di] as usize;
             if self.dmas[di].step(
                 &mut self.links[link],
                 self.now,
-                &mut self.txns[region],
-                &mut self.wstreams[region],
+                &mut self.txns,
+                &mut self.wstreams,
                 &mut self.meter,
             ) {
                 self.sched.dmas.insert(di);
@@ -721,128 +618,6 @@ impl NocSim {
         self.sched.scratch_xps = xps_now;
         self.now += 1;
         tracked
-    }
-
-    /// One region-sharded cycle: serial boundary pre-phase, one parallel
-    /// crew dispatch stepping every region, serial boundary commit. The
-    /// state evolution is bit-identical to [`step_full`](Self::step_full):
-    /// components read only cycle snapshots and every channel has a single
-    /// pusher and popper per cycle, so the per-region interleaving cannot
-    /// be observed (see `crate::shard` for the full argument).
-    fn step_sharded<S: TrafficSource + ?Sized>(&mut self, source: &mut S, crew: &Crew<'_>) {
-        let mut sharding = self
-            .sharding
-            .take()
-            .expect("sharded step without a partition");
-        // A sharded cycle performs the full sweep's work items.
-        self.sched.work_items +=
-            (self.links.len() + self.dmas.len() + self.mems.len() + self.xps.len()) as u64;
-        // Serial pre-phase: begin the boundary links and hand both
-        // adjacent regions a mirror of the fresh snapshot; then poll
-        // stimulus (sources are stateful — the poll sequence must be the
-        // serial one).
-        for &(l, rm, rs) in &sharding.boundary {
-            self.links[l].begin_cycle();
-            for r in [rm, rs] {
-                let ctx = &mut sharding.ctxs[r as usize];
-                let mi = ctx.mirror_of[l] as usize;
-                ctx.mirrors[mi].capture(&self.links[l]);
-            }
-        }
-        self.poll_stimulus(source, |_| {});
-        // Parallel phase: worker r steps region r. Disjointness is the
-        // partition itself — every index each worker touches is owned by
-        // its region (debug-asserted; foreign link access panics in the
-        // view) — which is exactly the `DisjointSlots` contract.
-        {
-            let links = DisjointSlots::new(&mut self.links);
-            let xps = DisjointSlots::new(&mut self.xps);
-            let dmas = DisjointSlots::new(&mut self.dmas);
-            let mems = DisjointSlots::new(&mut self.mems);
-            let txns = DisjointSlots::new(&mut self.txns);
-            let wstreams = DisjointSlots::new(&mut self.wstreams);
-            let ctxs = DisjointSlots::new(&mut sharding.ctxs);
-            let owner = &sharding.owner;
-            let now = self.now;
-            crew.run(&|r| {
-                // SAFETY (all accesses below): worker r dereferences only
-                // region r's context, its interior links, and the
-                // components/arenas the partition assigned to region r.
-                let ctx = unsafe { ctxs.get_mut(r) };
-                for &l in &ctx.links {
-                    // SAFETY: ctx.links holds only links owned by region r.
-                    unsafe { links.get_mut(l) }.begin_cycle();
-                }
-                // SAFETY: the per-region arenas are indexed by r itself —
-                // one slot per region, each touched by its own worker only.
-                let region_txns = unsafe { txns.get_mut(r) };
-                // SAFETY: as above — slot r of a per-region arena.
-                let region_wstreams = unsafe { wstreams.get_mut(r) };
-                for &di in &ctx.dmas {
-                    // SAFETY: ctx.dmas holds only DMAs assigned to region r.
-                    let d = unsafe { dmas.get_mut(di) };
-                    let l = d.link();
-                    debug_assert_eq!(owner[l] as usize, r, "DMA link crosses regions");
-                    d.step(
-                        // SAFETY: l is this DMA's link, owned by region r
-                        // (asserted above).
-                        unsafe { links.get_mut(l) },
-                        now,
-                        region_txns,
-                        region_wstreams,
-                        &mut ctx.meter,
-                    );
-                }
-                for &mi in &ctx.mems {
-                    // SAFETY: ctx.mems holds only memories assigned to
-                    // region r.
-                    let m = unsafe { mems.get_mut(mi) };
-                    let l = m.link();
-                    debug_assert_eq!(owner[l] as usize, r, "memory link crosses regions");
-                    // SAFETY: l is this memory's link, owned by region r
-                    // (asserted above).
-                    m.step(unsafe { links.get_mut(l) }, now, &mut ctx.meter);
-                }
-                let mut view = ShardLinkView {
-                    links: &links,
-                    owner,
-                    region: r as u32,
-                    mirror_of: &ctx.mirror_of,
-                    mirrors: &mut ctx.mirrors,
-                };
-                for xi in ctx.xps.clone() {
-                    // SAFETY: ctx.xps is region r's crossbar range; foreign
-                    // links resolve to mirrors inside the view.
-                    unsafe { xps.get_mut(xi) }.step(&mut view);
-                }
-            });
-        }
-        // Serial commit: replay boundary mirrors in ascending link order,
-        // fold the shard meters (integer counters — order-free), then
-        // report completions in the serial engine's DMA order.
-        for &(l, rm, rs) in &sharding.boundary {
-            let [cm, cs] = sharding
-                .ctxs
-                .get_disjoint_mut([rm as usize, rs as usize])
-                .expect("boundary regions are distinct");
-            let mi = cm.mirror_of[l] as usize;
-            let si = cs.mirror_of[l] as usize;
-            shard::commit_link(&mut self.links[l], &mut cm.mirrors[mi], &mut cs.mirrors[si]);
-        }
-        for ctx in &mut sharding.ctxs {
-            self.meter.absorb(&mut ctx.meter);
-        }
-        let mut finished = std::mem::take(&mut self.finished_scratch);
-        for d in &mut self.dmas {
-            let node = d.node();
-            d.drain_finished(&mut finished);
-            for &id in &finished {
-                source.on_complete(node, id, self.now);
-            }
-        }
-        self.finished_scratch = finished;
-        self.now += 1;
-        self.sharding = Some(sharding);
     }
 
     /// Whether all endpoints and links are idle.
@@ -902,8 +677,8 @@ impl NocSim {
     /// source horizon's promise that every `poll` strictly before the
     /// returned cycle yields `None` without touching the random stream.
     /// Together they make the skipped span bit-for-bit unobservable; the
-    /// equivalence suite pins skip ≡ no-skip across engines, traffic
-    /// classes and thread counts. Disabled by [`NocConfig::time_skip`] =
+    /// equivalence suite pins skip ≡ no-skip across engines and traffic
+    /// classes. Disabled by [`NocConfig::time_skip`] =
     /// false or [`NocConfig::full_sweep`] (the reference path steps every
     /// cycle by definition).
     pub fn try_skip<S: TrafficSource + ?Sized>(
@@ -954,18 +729,7 @@ impl NocSim {
     /// [`SimReport::allocs_per_kilocycle`] are derived from.
     #[must_use]
     pub fn allocation_stats(&self) -> SlabStats {
-        let fold = |acc: SlabStats, s: SlabStats| acc.merge(s);
-        let txns = self
-            .txns
-            .iter()
-            .map(Slab::stats)
-            .fold(SlabStats::default(), fold);
-        let wstreams = self
-            .wstreams
-            .iter()
-            .map(Slab::stats)
-            .fold(SlabStats::default(), fold);
-        txns.merge(wstreams)
+        self.txns.stats().merge(self.wstreams.stats())
     }
 
     /// Payload bytes measured so far (inside the window).
@@ -1024,7 +788,6 @@ impl NocSim {
             slab_high_water: slab.high_water,
             allocs_per_kilocycle: slab.allocs as f64 * 1000.0 / self.now.max(1) as f64,
             cycles_skipped: self.cycles_skipped,
-            threads: self.cfg.threads,
             state_digest: self.state_digest(),
         }
     }
@@ -1045,11 +808,11 @@ impl NocSim {
     /// Configuration fingerprint carried in the snapshot header: FNV-1a 64
     /// over the canonical encoding of every behaviour-affecting
     /// configuration field. The stepping-strategy knobs —
-    /// [`NocConfig::threads`], [`NocConfig::full_sweep`] and the saturate
-    /// thresholds — are deliberately **excluded**: every stepping strategy
-    /// evolves bit-identical state (pinned by the equivalence tests), so a
-    /// snapshot is portable across all of them and the state digest never
-    /// depends on how the state was stepped.
+    /// [`NocConfig::full_sweep`], [`NocConfig::time_skip`] and the
+    /// saturate thresholds — are deliberately **excluded**: every
+    /// stepping strategy evolves bit-identical state (pinned by the
+    /// equivalence tests), so a snapshot is portable across all of them
+    /// and the state digest never depends on how the state was stepped.
     #[must_use]
     pub fn shape(&self) -> u64 {
         let cfg = &self.cfg;
@@ -1113,11 +876,11 @@ impl NocSim {
     /// FNV-1a 64 digest of the canonical *comparable* state: simulation
     /// time plus every link, XP and endpoint. Excluded on purpose — the
     /// meter (its warm-up split differs between a straight run and a
-    /// warm-started fork measuring the same window), the scheduler and
-    /// slab telemetry (both differ between serial and sharded stepping
-    /// while the simulated hardware state does not), and the stop reason.
+    /// warm-started fork measuring the same window), the scheduler (it
+    /// differs between active and full-sweep stepping while the simulated
+    /// hardware state does not), slab telemetry, and the stop reason.
     /// Equal digests ⇔ equal hardware state, which is what the
-    /// serial-vs-sharded and straight-vs-fork equivalence tests assert.
+    /// stepping-mode and straight-vs-fork equivalence tests assert.
     #[must_use]
     pub fn state_digest(&self) -> u64 {
         let mut e = Encoder::new(Self::SNAP_KIND, self.shape());
@@ -1154,9 +917,8 @@ impl NocSim {
             }
         });
         e.section(5, |e| {
-            for (di, d) in self.dmas.iter().enumerate() {
-                let region = self.dma_region[di] as usize;
-                d.encode_state(e, &self.txns[region], &self.wstreams[region]);
+            for d in &self.dmas {
+                d.encode_state(e, &self.txns, &self.wstreams);
             }
         });
         e.section(6, |e| {
@@ -1182,17 +944,8 @@ impl NocSim {
                 }
             });
             e.section(8, |e| {
-                let fold = |acc: SlabStats, s: SlabStats| acc.merge(s);
-                let t = self
-                    .txns
-                    .iter()
-                    .map(Slab::stats)
-                    .fold(SlabStats::default(), fold);
-                let w = self
-                    .wstreams
-                    .iter()
-                    .map(Slab::stats)
-                    .fold(SlabStats::default(), fold);
+                let t = self.txns.stats();
+                let w = self.wstreams.stats();
                 e.u64(t.allocs);
                 e.u64(t.high_water);
                 e.u64(w.allocs);
@@ -1208,7 +961,7 @@ impl NocSim {
     /// current state is left untouched.
     ///
     /// The snapshot must come from an engine whose configuration matches
-    /// this one's [`shape`](Self::shape); thread count may differ.
+    /// this one's [`shape`](Self::shape); stepping knobs may differ.
     ///
     /// # Errors
     ///
@@ -1256,14 +1009,8 @@ impl NocSim {
         }
         d.end_section(end)?;
         let end = d.begin_section(5)?;
-        for di in 0..self.dmas.len() {
-            let region = self.dma_region[di] as usize;
-            self.dmas[di].restore_state(
-                &mut d,
-                &mut self.txns[region],
-                &mut self.wstreams[region],
-                nodes,
-            )?;
+        for dma in &mut self.dmas {
+            dma.restore_state(&mut d, &mut self.txns, &mut self.wstreams, nodes)?;
         }
         d.end_section(end)?;
         let end = d.begin_section(6)?;
@@ -1303,24 +1050,15 @@ impl NocSim {
         d.finish()?;
         // Telemetry continuation: restoring re-allocated every live record,
         // so credit each arena family with the snapshot's history minus
-        // what rebuilding already counted (saturating: a snapshot from a
-        // differently-sharded engine may fragment differently).
-        let fold = |acc: SlabStats, s: SlabStats| acc.merge(s);
-        let t = self
-            .txns
-            .iter()
-            .map(Slab::stats)
-            .fold(SlabStats::default(), fold);
-        let w = self
-            .wstreams
-            .iter()
-            .map(Slab::stats)
-            .fold(SlabStats::default(), fold);
-        self.txns[0].absorb_stats(
+        // what rebuilding already counted (saturating, so a crafted
+        // snapshot cannot underflow the counters).
+        let t = self.txns.stats();
+        let w = self.wstreams.stats();
+        self.txns.absorb_stats(
             t_allocs.saturating_sub(t.allocs),
             t_hw.saturating_sub(t.high_water),
         );
-        self.wstreams[0].absorb_stats(
+        self.wstreams.absorb_stats(
             w_allocs.saturating_sub(w.allocs),
             w_hw.saturating_sub(w.high_water),
         );
@@ -1826,66 +1564,6 @@ mod tests {
         }
     }
 
-    /// Runs the same Poisson workload with `threads` workers and returns
-    /// everything observable (sharded runs use the crew cycle loop; one
-    /// thread is the serial reference).
-    fn run_threaded(threads: usize, load: f64, window: u64) -> Observed {
-        let mut cfg = NocConfig::slim_4x4();
-        cfg.threads = threads;
-        let mut sim = NocSim::new(cfg).unwrap();
-        let mut src = traffic::UniformRandom::new_copies(traffic::UniformConfig {
-            masters: 16,
-            slaves: (0..16).collect(),
-            load,
-            bytes_per_cycle: 4.0,
-            max_transfer: 1000,
-            read_fraction: 0.5,
-            region_size: 1 << 24,
-            seed: 0x5EED,
-        });
-        let report = sim.run(&mut src, window, window / 5);
-        (
-            report,
-            sim.slave_write_bytes(),
-            sim.link_occupancy(),
-            sim.work_items(),
-        )
-    }
-
-    #[test]
-    fn sharded_stepping_is_bit_identical_to_serial() {
-        for load in [0.001, 0.3, 1.0] {
-            let (sr, sw, so, _) = run_threaded(1, load, 20_000);
-            for threads in [2, 3, 4, 8] {
-                let (tr, tw, to, _) = run_threaded(threads, load, 20_000);
-                assert_eq!(sr, tr, "report differs: load {load}, {threads} threads");
-                assert_eq!(sw, tw, "slave bytes differ: load {load}, {threads} threads");
-                assert_eq!(so, to, "occupancy differs: load {load}, {threads} threads");
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_sim_can_keep_stepping_serially_after_a_run() {
-        // After a sharded run the scheduler is parked in the saturated
-        // regime; manual serial stepping must continue correctly (and may
-        // desaturate and rebuild the activity sets from live state).
-        let mut cfg = NocConfig::slim_4x4();
-        cfg.threads = 4;
-        let mut sim = NocSim::new(cfg).unwrap();
-        let mut src = OneEach::new(16, 1024, TransferKind::Write, |m| (m + 5) % 16);
-        sim.run(&mut src, 100_000, 0);
-        assert_eq!(sim.stop_reason(), StopReason::Drained);
-        let mut late = OneEach::new(16, 256, TransferKind::Read, |m| (m + 1) % 16);
-        for _ in 0..50_000 {
-            if late.is_done() && sim.is_drained() {
-                break;
-            }
-            sim.step(&mut late);
-        }
-        assert_eq!(sim.transfers_completed(), 32);
-    }
-
     #[test]
     fn explicit_default_thresholds_are_bit_identical() {
         let run = |saturate: Option<simkit::SaturateThresholds>| {
@@ -1941,16 +1619,79 @@ mod tests {
     }
 
     fn poisson(seed: u64) -> traffic::UniformRandom {
+        uniform_at(0.6, seed)
+    }
+
+    fn uniform_at(load: f64, seed: u64) -> traffic::UniformRandom {
         traffic::UniformRandom::new_copies(traffic::UniformConfig {
             masters: 16,
             slaves: (0..16).collect(),
-            load: 0.6,
+            load,
             bytes_per_cycle: 4.0,
             max_transfer: 1000,
             read_fraction: 0.5,
             region_size: 1 << 24,
             seed,
         })
+    }
+
+    #[test]
+    fn sim_can_keep_stepping_after_a_run() {
+        // `run` leaves the scheduler in whatever regime the run ended in;
+        // stepping by hand with a fresh source afterwards must still
+        // deliver everything.
+        let mut sim = NocSim::new(NocConfig::slim_4x4()).unwrap();
+        let mut src = OneEach::new(16, 1024, TransferKind::Write, |m| (m + 5) % 16);
+        sim.run(&mut src, 100_000, 0);
+        assert_eq!(sim.stop_reason(), StopReason::Drained);
+        let mut late = OneEach::new(16, 256, TransferKind::Read, |m| (m + 1) % 16);
+        for _ in 0..50_000 {
+            if late.is_done() && sim.is_drained() {
+                break;
+            }
+            sim.step(&mut late);
+        }
+        assert!(late.is_done(), "the hand-stepped reads never completed");
+        assert_eq!(sim.transfers_completed(), 32);
+    }
+
+    #[test]
+    fn hand_driven_step_loop_matches_run() {
+        // `run` is `begin_measurement` plus the cycle loop; a caller that
+        // arms the meter and steps every cycle itself (never skipping)
+        // must reach the same report and the same hardware state.
+        for load in [0.001, 0.3, 1.0] {
+            let mut by_run = NocSim::new(NocConfig::slim_4x4()).unwrap();
+            let report = by_run.run(&mut uniform_at(load, 0x5EED), 6_000, 1_000);
+
+            let mut by_hand = NocSim::new(NocConfig::slim_4x4()).unwrap();
+            let mut src = uniform_at(load, 0x5EED);
+            by_hand.begin_measurement(1_000);
+            while by_hand.now() < 6_000 {
+                by_hand.step(&mut src);
+            }
+            assert_eq!(report, by_hand.snapshot_report(), "load {load}");
+            assert_eq!(by_run.state_digest(), by_hand.state_digest(), "load {load}");
+        }
+    }
+
+    #[test]
+    fn consecutive_runs_reach_the_state_of_one_long_run() {
+        // A run boundary clamps any time skip to the deadline and re-arms
+        // the meter, but must be invisible to the simulated hardware.
+        for load in [0.001, 0.6] {
+            let mut once = NocSim::new(NocConfig::slim_4x4()).unwrap();
+            once.run(&mut uniform_at(load, 3), 5_000, 0);
+
+            let mut split = NocSim::new(NocConfig::slim_4x4()).unwrap();
+            let mut src = uniform_at(load, 3);
+            split.run(&mut src, 2_000, 0);
+            split.run(&mut src, 3_000, 0);
+
+            assert_eq!(once.now(), split.now());
+            assert_eq!(once.transfers_completed(), split.transfers_completed());
+            assert_eq!(once.state_digest(), split.state_digest(), "load {load}");
+        }
     }
 
     #[test]
@@ -1968,25 +1709,6 @@ mod tests {
         let fork = forked.run(&mut forked_src, 2_000, 0);
         assert_eq!(straight, fork);
         assert_eq!(sim.state_digest(), forked.state_digest());
-    }
-
-    #[test]
-    fn snapshot_is_portable_across_thread_counts() {
-        // Capture mid-flight on a serial engine, restore into a 4-thread
-        // one (and vice versa): the continuations stay bit-identical.
-        let mut cfg4 = NocConfig::slim_4x4();
-        cfg4.threads = 4;
-        let mut serial = NocSim::new(NocConfig::slim_4x4()).unwrap();
-        let mut src = poisson(0xF0CA);
-        serial.run(&mut src, 3_000, 0);
-        let bytes = serial.snapshot();
-
-        let mut sharded = NocSim::new(cfg4).unwrap();
-        sharded.restore(&bytes).unwrap();
-        let mut sharded_src = src.clone();
-        let sr = serial.run(&mut src, 2_000, 0);
-        let tr = sharded.run(&mut sharded_src, 2_000, 0);
-        assert_eq!(sr, tr);
     }
 
     #[test]

@@ -49,14 +49,13 @@
 //! | [`config`] | Table I parameter space |
 //! | [`engine`] | the cycle-accurate evaluation testbench (§IV) |
 
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 
 pub mod config;
 pub mod endpoint;
 pub mod engine;
 pub mod link;
 pub mod routing;
-pub(crate) mod shard;
 pub(crate) mod snapcodec;
 pub mod topology;
 pub mod xp;

@@ -134,21 +134,6 @@ impl<T> Channel<T> {
         self.stages.last_mut().expect("non-empty").pop()
     }
 
-    /// Producer-side slots free in this cycle's snapshot — the count behind
-    /// [`can_push`](Self::can_push), exposed so a boundary mirror can grant
-    /// a remote region exactly as many pushes as the real channel would.
-    #[must_use]
-    pub fn snap_free(&self) -> usize {
-        self.stages[0].snap_free()
-    }
-
-    /// The beats poppable this cycle at the consumer end, in pop order —
-    /// the consumer-side snapshot a boundary mirror copies so a remote
-    /// region can peek/pop without touching the channel.
-    pub fn poppable(&self) -> impl Iterator<Item = &T> {
-        self.stages.last().expect("non-empty").poppable()
-    }
-
     /// Total beats currently in flight inside the channel.
     #[must_use]
     pub fn occupancy(&self) -> usize {
@@ -292,115 +277,6 @@ impl AxiLink {
             b: Channel::decode_with(d, stages, decode_resp)?,
             r: Channel::decode_with(d, stages, decode_resp)?,
         })
-    }
-}
-
-/// How a crosspoint touches the link array, abstracted so the same
-/// [`Xp::step`](crate::xp::Xp::step) code runs against the real links
-/// (serial engine: `[AxiLink]`) or a region shard's view (real links for
-/// channels the region owns, boundary mirrors for the rest — see
-/// `crate::shard`). Methods take the link index; `peek` returns beats by
-/// value (they are small `Copy` structs) so no borrow outlives the call.
-pub trait LinkView {
-    /// Whether the AW channel of `link` accepts a push this cycle.
-    fn aw_can_push(&self, link: usize) -> bool;
-    /// The AW beat poppable from `link` this cycle, if any.
-    fn aw_peek(&self, link: usize) -> Option<ReqBeat>;
-    /// Pops the AW beat at the consumer end of `link`.
-    fn aw_pop(&mut self, link: usize) -> Option<ReqBeat>;
-    /// Pushes an AW beat into `link` (caller checked
-    /// [`aw_can_push`](Self::aw_can_push)).
-    fn aw_push(&mut self, link: usize, beat: ReqBeat);
-    /// Whether the AR channel of `link` accepts a push this cycle.
-    fn ar_can_push(&self, link: usize) -> bool;
-    /// The AR beat poppable from `link` this cycle, if any.
-    fn ar_peek(&self, link: usize) -> Option<ReqBeat>;
-    /// Pops the AR beat at the consumer end of `link`.
-    fn ar_pop(&mut self, link: usize) -> Option<ReqBeat>;
-    /// Pushes an AR beat into `link`.
-    fn ar_push(&mut self, link: usize, beat: ReqBeat);
-    /// Whether the W channel of `link` accepts a push this cycle.
-    fn w_can_push(&self, link: usize) -> bool;
-    /// Pops the W beat at the consumer end of `link`.
-    fn w_pop(&mut self, link: usize) -> Option<DataBeat>;
-    /// Pushes a W beat into `link`.
-    fn w_push(&mut self, link: usize, beat: DataBeat);
-    /// Whether the B channel of `link` accepts a push this cycle.
-    fn b_can_push(&self, link: usize) -> bool;
-    /// The B beat poppable from `link` this cycle, if any.
-    fn b_peek(&self, link: usize) -> Option<RespBeat>;
-    /// Pops the B beat at the consumer end of `link`.
-    fn b_pop(&mut self, link: usize) -> Option<RespBeat>;
-    /// Pushes a B beat into `link`.
-    fn b_push(&mut self, link: usize, beat: RespBeat);
-    /// Whether the R channel of `link` accepts a push this cycle.
-    fn r_can_push(&self, link: usize) -> bool;
-    /// The R beat poppable from `link` this cycle, if any.
-    fn r_peek(&self, link: usize) -> Option<RespBeat>;
-    /// Pops the R beat at the consumer end of `link`.
-    fn r_pop(&mut self, link: usize) -> Option<RespBeat>;
-    /// Pushes an R beat into `link`.
-    fn r_push(&mut self, link: usize, beat: RespBeat);
-}
-
-/// The serial engine's view: the plain link array itself.
-impl LinkView for [AxiLink] {
-    fn aw_can_push(&self, link: usize) -> bool {
-        self[link].aw.can_push()
-    }
-    fn aw_peek(&self, link: usize) -> Option<ReqBeat> {
-        self[link].aw.peek().copied()
-    }
-    fn aw_pop(&mut self, link: usize) -> Option<ReqBeat> {
-        self[link].aw.pop()
-    }
-    fn aw_push(&mut self, link: usize, beat: ReqBeat) {
-        self[link].aw.push(beat);
-    }
-    fn ar_can_push(&self, link: usize) -> bool {
-        self[link].ar.can_push()
-    }
-    fn ar_peek(&self, link: usize) -> Option<ReqBeat> {
-        self[link].ar.peek().copied()
-    }
-    fn ar_pop(&mut self, link: usize) -> Option<ReqBeat> {
-        self[link].ar.pop()
-    }
-    fn ar_push(&mut self, link: usize, beat: ReqBeat) {
-        self[link].ar.push(beat);
-    }
-    fn w_can_push(&self, link: usize) -> bool {
-        self[link].w.can_push()
-    }
-    fn w_pop(&mut self, link: usize) -> Option<DataBeat> {
-        self[link].w.pop()
-    }
-    fn w_push(&mut self, link: usize, beat: DataBeat) {
-        self[link].w.push(beat);
-    }
-    fn b_can_push(&self, link: usize) -> bool {
-        self[link].b.can_push()
-    }
-    fn b_peek(&self, link: usize) -> Option<RespBeat> {
-        self[link].b.peek().copied()
-    }
-    fn b_pop(&mut self, link: usize) -> Option<RespBeat> {
-        self[link].b.pop()
-    }
-    fn b_push(&mut self, link: usize, beat: RespBeat) {
-        self[link].b.push(beat);
-    }
-    fn r_can_push(&self, link: usize) -> bool {
-        self[link].r.can_push()
-    }
-    fn r_peek(&self, link: usize) -> Option<RespBeat> {
-        self[link].r.peek().copied()
-    }
-    fn r_pop(&mut self, link: usize) -> Option<RespBeat> {
-        self[link].r.pop()
-    }
-    fn r_push(&mut self, link: usize, beat: RespBeat) {
-        self[link].r.push(beat);
     }
 }
 

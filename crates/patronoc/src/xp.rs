@@ -21,7 +21,7 @@
 //! * **R** — as B, but bursts are forwarded atomically (no beat interleave
 //!   towards one upstream port, matching `axi_mux`'s locked R path).
 
-use crate::link::LinkView;
+use crate::link::AxiLink;
 use crate::routing::{routing_table, RoutingAlgorithm};
 #[cfg(test)]
 use crate::routing::{xp_connectivity, Connectivity};
@@ -229,11 +229,7 @@ impl Xp {
     /// moved any beat — `false` means the step was a no-op (nothing to
     /// route) and none of its adjacent links were touched, so the
     /// scheduler may leave the neighbourhood asleep.
-    ///
-    /// Generic over [`LinkView`] so the identical routing code runs against
-    /// the real link array (serial engine) or a region shard's boundary-
-    /// mirrored view (sharded engine).
-    pub fn step<L: LinkView + ?Sized>(&mut self, links: &mut L) -> bool {
+    pub fn step(&mut self, links: &mut [AxiLink]) -> bool {
         let mut moved = self.step_requests(links, true);
         moved |= self.step_requests(links, false);
         moved |= self.step_w(links);
@@ -243,16 +239,16 @@ impl Xp {
     }
 
     /// AW (write = true) or AR (write = false) stage.
-    fn step_requests<L: LinkView + ?Sized>(&mut self, links: &mut L, write: bool) -> bool {
+    fn step_requests(&mut self, links: &mut [AxiLink], write: bool) -> bool {
         let mut moved = false;
         for o in 0..PORTS {
             let Some(out_idx) = self.out_links[o] else {
                 continue;
             };
             let out_ready = if write {
-                links.aw_can_push(out_idx)
+                links[out_idx].aw.can_push()
             } else {
-                links.ar_can_push(out_idx)
+                links[out_idx].ar.can_push()
             };
             if !out_ready {
                 continue;
@@ -263,9 +259,9 @@ impl Xp {
                     continue;
                 };
                 let beat = if write {
-                    links.aw_peek(in_idx)
+                    links[in_idx].aw.peek().copied()
                 } else {
-                    links.ar_peek(in_idx)
+                    links[in_idx].ar.peek().copied()
                 };
                 let Some(beat) = beat else { continue };
                 if self.route[beat.dst] as usize != o || !self.allowed[i][o] {
@@ -312,9 +308,9 @@ impl Xp {
             };
             let in_idx = self.in_links[i].expect("eligible input exists");
             let mut beat = if write {
-                links.aw_pop(in_idx)
+                links[in_idx].aw.pop()
             } else {
-                links.ar_pop(in_idx)
+                links[in_idx].ar.pop()
             }
             .expect("eligible beat exists");
             let key = SourceKey {
@@ -328,12 +324,12 @@ impl Xp {
                 debug_assert!(self.w_route[i].is_none(), "one write per input");
                 self.w_route[i] = Some(o);
                 beat.id = rid;
-                links.aw_push(out_idx, beat);
+                links[out_idx].aw.push(beat);
             } else {
                 let rid = self.rd_remap[o].acquire(key).expect("eligibility checked");
                 self.ar_guard[i].issue(beat.id, o);
                 beat.id = rid;
-                links.ar_push(out_idx, beat);
+                links[out_idx].ar.push(beat);
             }
             moved = true;
         }
@@ -341,13 +337,13 @@ impl Xp {
     }
 
     /// W stage: forward write data in AW grant order.
-    fn step_w<L: LinkView + ?Sized>(&mut self, links: &mut L) -> bool {
+    fn step_w(&mut self, links: &mut [AxiLink]) -> bool {
         let mut moved = false;
         for o in 0..PORTS {
             let Some(out_idx) = self.out_links[o] else {
                 continue;
             };
-            if !links.w_can_push(out_idx) {
+            if !links[out_idx].w.can_push() {
                 continue;
             }
             let Some(i) = self.w_order[o].front() else {
@@ -358,11 +354,11 @@ impl Xp {
                 continue;
             }
             let in_idx = self.in_links[i].expect("granted input exists");
-            let Some(beat) = links.w_pop(in_idx) else {
+            let Some(beat) = links[in_idx].w.pop() else {
                 continue;
             };
             let last = beat.last;
-            links.w_push(out_idx, beat);
+            links[out_idx].w.push(beat);
             self.w_beats[o] += 1;
             moved = true;
             if last {
@@ -374,13 +370,13 @@ impl Xp {
     }
 
     /// B stage: route write responses back through the remap tables.
-    fn step_b<L: LinkView + ?Sized>(&mut self, links: &mut L) -> bool {
+    fn step_b(&mut self, links: &mut [AxiLink]) -> bool {
         let mut moved = false;
         for i in 0..PORTS {
             let Some(in_idx) = self.in_links[i] else {
                 continue;
             };
-            if !links.b_can_push(in_idx) {
+            if !links[in_idx].b.can_push() {
                 continue;
             }
             let mut elig = [false; PORTS];
@@ -388,7 +384,7 @@ impl Xp {
                 let Some(out_idx) = self.out_links[o] else {
                     continue;
                 };
-                let Some(beat) = links.b_peek(out_idx) else {
+                let Some(beat) = links[out_idx].b.peek().copied() else {
                     continue;
                 };
                 if let Some(key) = self.wr_remap[o].source_of(beat.id) {
@@ -399,27 +395,27 @@ impl Xp {
                 continue;
             };
             let out_idx = self.out_links[o].expect("eligible output exists");
-            let mut beat = links.b_pop(out_idx).expect("eligible beat exists");
+            let mut beat = links[out_idx].b.pop().expect("eligible beat exists");
             let key = self.wr_remap[o]
                 .source_of(beat.id)
                 .expect("response id is mapped");
             self.wr_remap[o].release(beat.id);
             self.aw_guard[i].complete(key.id);
             beat.id = key.id;
-            links.b_push(in_idx, beat);
+            links[in_idx].b.push(beat);
             moved = true;
         }
         moved
     }
 
     /// R stage: route read data back, keeping bursts atomic per upstream.
-    fn step_r<L: LinkView + ?Sized>(&mut self, links: &mut L) -> bool {
+    fn step_r(&mut self, links: &mut [AxiLink]) -> bool {
         let mut moved = false;
         for i in 0..PORTS {
             let Some(in_idx) = self.in_links[i] else {
                 continue;
             };
-            if !links.r_can_push(in_idx) {
+            if !links[in_idx].r.can_push() {
                 continue;
             }
             let source = match self.r_lock[i] {
@@ -430,7 +426,7 @@ impl Xp {
                         let Some(out_idx) = self.out_links[o] else {
                             continue;
                         };
-                        let Some(beat) = links.r_peek(out_idx) else {
+                        let Some(beat) = links[out_idx].r.peek().copied() else {
                             continue;
                         };
                         if let Some(key) = self.rd_remap[o].source_of(beat.id) {
@@ -442,7 +438,7 @@ impl Xp {
             };
             let Some(o) = source else { continue };
             let out_idx = self.out_links[o].expect("locked output exists");
-            let Some(peeked) = links.r_peek(out_idx) else {
+            let Some(peeked) = links[out_idx].r.peek().copied() else {
                 continue;
             };
             let key = self.rd_remap[o]
@@ -458,7 +454,7 @@ impl Xp {
                 );
                 continue;
             }
-            let mut beat = links.r_pop(out_idx).expect("peeked beat exists");
+            let mut beat = links[out_idx].r.pop().expect("peeked beat exists");
             if beat.last {
                 self.rd_remap[o].release(beat.id);
                 self.ar_guard[i].complete(key.id);
@@ -467,7 +463,7 @@ impl Xp {
                 self.r_lock[i] = Some(o);
             }
             beat.id = key.id;
-            links.r_push(in_idx, beat);
+            links[in_idx].r.push(beat);
             self.r_beats[i] += 1;
             moved = true;
         }

@@ -47,7 +47,7 @@ pub trait Engine {
     fn snapshot(&self) -> Vec<u8>;
 
     /// Restores a snapshot taken from an engine built with an equivalent
-    /// configuration (thread count may differ), all or nothing: on error
+    /// configuration (stepping knobs may differ), all or nothing: on error
     /// the current state is untouched.
     ///
     /// # Errors
@@ -161,6 +161,7 @@ mod tests {
     use traffic::{Transfer, TransferKind};
 
     /// One write per master, then done.
+    #[derive(Clone)]
     struct OneEach {
         n: usize,
         issued: Vec<bool>,
@@ -232,6 +233,46 @@ mod tests {
             sim.run(&mut src, 100_000, 1_000)
         };
         assert_eq!(run_inherent(), run_trait());
+    }
+
+    #[test]
+    fn packet_trait_run_matches_inherent_run() {
+        let cfg = packetnoc::PacketNocConfig::noxim_compact;
+        let inherent = packetnoc::PacketNocSim::new(cfg()).run(&mut one_each(16), 100_000, 1_000);
+        let mut boxed: Box<dyn Engine> = Box::new(packetnoc::PacketNocSim::new(cfg()));
+        assert_eq!(inherent, boxed.run(&mut one_each(16), 100_000, 1_000));
+    }
+
+    fn fresh(packet: bool) -> Box<dyn Engine> {
+        if packet {
+            Box::new(packetnoc::PacketNocSim::new(
+                packetnoc::PacketNocConfig::noxim_compact(),
+            ))
+        } else {
+            Box::new(patronoc::NocSim::new(patronoc::NocConfig::slim_4x4()).unwrap())
+        }
+    }
+
+    #[test]
+    fn checkpoints_round_trip_behind_the_trait() {
+        // Capture mid-flight through `dyn Engine`, restore into a fresh
+        // boxed engine, and drain both: the continuations are identical.
+        for packet in [false, true] {
+            let mut a = fresh(packet);
+            let mut src = one_each(16);
+            a.run(&mut src, 40, 0);
+            assert!(!a.is_drained(), "packet={packet}: capture is mid-flight");
+            let mut b = fresh(packet);
+            b.restore(&a.snapshot()).unwrap();
+            assert_eq!(b.now(), a.now());
+            assert_eq!(b.state_digest(), a.state_digest(), "packet={packet}");
+
+            let mut src_b = src.clone();
+            let ra = a.run(&mut src, 1_000_000, 0);
+            let rb = b.run(&mut src_b, 1_000_000, 0);
+            assert!(ra.is_drained(), "packet={packet}");
+            assert_eq!(ra, rb, "packet={packet}");
+        }
     }
 
     #[test]

@@ -127,16 +127,11 @@ pub struct Scenario {
     pub budget: Option<u64>,
     /// Base RNG seed of the workload's random streams.
     pub seed: u64,
-    /// Worker threads for region-sharded execution of the one simulation
-    /// this scenario names (1 = serial). Results are bit-identical at any
-    /// value — the knob trades wall clock only — so it stays out of the
-    /// derived per-point seeds.
-    pub threads: usize,
     /// Event-horizon time skipping (default on): the engine jumps `now`
     /// across provably idle gaps instead of ticking empty cycles. Results
-    /// are bit-identical either way (`simkit::horizon`), so like
-    /// [`threads`](Self::threads) the knob trades wall clock only and
-    /// stays out of the derived per-point seeds.
+    /// are bit-identical either way (`simkit::horizon`), so the knob
+    /// trades wall clock only and stays out of the derived per-point
+    /// seeds.
     pub time_skip: bool,
 }
 
@@ -163,7 +158,6 @@ impl Scenario {
             window: 0,
             budget: None,
             seed: 0,
-            threads: 1,
             time_skip: true,
         }
     }
@@ -282,14 +276,6 @@ impl Scenario {
         self
     }
 
-    /// Sets the worker threads for region-sharded execution (1 = serial;
-    /// results are bit-identical at any value).
-    #[must_use]
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
     /// Enables or disables event-horizon time skipping (on by default;
     /// results are bit-identical either way).
     #[must_use]
@@ -364,7 +350,6 @@ impl Scenario {
         cfg.connectivity = self.connectivity;
         cfg.link_stages = self.link_stages;
         cfg.region_size = self.region_size;
-        cfg.threads = self.threads;
         cfg.time_skip = self.time_skip;
         if let TrafficSpec::Synthetic { pattern, .. } = self.traffic {
             let (cols, rows) = self
@@ -402,7 +387,6 @@ impl Scenario {
                 let mut cfg = profile.base_config();
                 cfg.cols = cols;
                 cfg.rows = rows;
-                cfg.threads = self.threads;
                 cfg.time_skip = self.time_skip;
                 Ok(Box::new(packetnoc::PacketNocSim::new(cfg)))
             }
@@ -565,8 +549,9 @@ impl Scenario {
     ///
     /// # Errors
     ///
-    /// [`ScenarioError::Parse`] naming the missing key, wrong type or
-    /// unknown label.
+    /// [`ScenarioError::Parse`] naming the missing key, wrong type,
+    /// unknown label or retired key (`threads`: the engines run one
+    /// serial cycle loop, so the knob no longer exists).
     pub fn from_json(v: &Json) -> Result<Self, ScenarioError> {
         use crate::spec::{get_str, get_u64, obj_get};
         fn parse<T>(r: Result<T, String>) -> Result<T, ScenarioError> {
@@ -629,13 +614,13 @@ impl Scenario {
                 )))
             }
         };
-        // Lenient: documents predating the threads knob mean serial.
-        let threads = match obj_get(v, "threads") {
-            Ok(_) => parse(get_u64(v, "threads").and_then(|n| {
-                usize::try_from(n).map_err(|_| "key `threads` out of range".to_owned())
-            }))?,
-            Err(_) => 1,
-        };
+        if obj_get(v, "threads").is_ok() {
+            return Err(ScenarioError::Parse(
+                "key `threads` is retired: every engine runs one serial cycle loop; \
+                 parallelize across scenarios instead"
+                    .to_owned(),
+            ));
+        }
         // Lenient: documents predating the time-skip knob mean on (the
         // default; results are bit-identical either way).
         let time_skip = match obj_get(v, "time_skip") {
@@ -667,7 +652,6 @@ impl Scenario {
             window: parse(get_u64(v, "window"))?,
             budget,
             seed: parse(get_u64(v, "seed"))?,
-            threads,
             time_skip,
         })
     }
@@ -735,7 +719,6 @@ impl Scenario {
             ("window", Json::U64(self.window)),
             ("budget", self.budget.map_or(Json::Null, Json::U64)),
             ("seed", Json::U64(self.seed)),
-            ("threads", Json::U64(self.threads as u64)),
             ("time_skip", Json::Bool(self.time_skip)),
         ])
     }
@@ -839,6 +822,43 @@ mod tests {
     }
 
     #[test]
+    fn time_skip_knob_reaches_both_engines() {
+        assert!(
+            !Scenario::patronoc()
+                .time_skip(false)
+                .noc_config()
+                .unwrap()
+                .time_skip
+        );
+        // Near-idle traffic: with the knob on the engine skips most of the
+        // window, with it off it skips none, and the results agree.
+        for base in [
+            Scenario::patronoc(),
+            Scenario::packet(PacketProfile::Compact),
+        ] {
+            let sc = base
+                .traffic(TrafficSpec::uniform(0.001, 64))
+                .window(20_000)
+                .seed(5);
+            let on = sc.clone().time_skip(true).run().unwrap();
+            let off = sc.time_skip(false).run().unwrap();
+            assert!(on.cycles_skipped > 0);
+            assert_eq!(off.cycles_skipped, 0);
+            assert_eq!(on, off);
+        }
+    }
+
+    #[test]
+    fn time_skip_off_round_trips_through_json() {
+        let sc = Scenario::packet(PacketProfile::HighPerformance)
+            .time_skip(false)
+            .window(100);
+        let text = sc.to_json().to_json();
+        assert!(text.contains("\"time_skip\":false"), "{text}");
+        assert_eq!(Scenario::from_json_str(&text).unwrap(), sc);
+    }
+
+    #[test]
     fn packet_engine_inherits_mesh_dims() {
         let sc = Scenario::packet(PacketProfile::HighPerformance)
             .topology(Topology::Mesh { cols: 3, rows: 3 })
@@ -865,11 +885,11 @@ mod tests {
             "\"window\":20",
             "\"budget\":null",
             "\"seed\":7",
-            "\"threads\":1",
             "\"time_skip\":true",
         ] {
             assert!(json.contains(key), "{key} missing from {json}");
         }
+        assert!(!json.contains("\"threads\""), "retired key in {json}");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Warm-start forking: simulate a warm-up once, snapshot, fork many runs.
 //!
 //! Sweep grids re-simulate the same warm-up over and over: every
-//! repetition, thread count and measurement window of one workload point
+//! repetition and measurement window of one workload point
 //! first burns `warmup` cycles reaching steady state before measuring.
 //! Engine and traffic-source checkpoints (see `simkit::snap`,
 //! [`Engine::snapshot`](crate::engine::Engine::snapshot) and
@@ -12,7 +12,7 @@
 //! bit-identical to running straight through (pinned by both engines'
 //! snapshot tests and `crates/bench/tests/snapshot.rs`), a forked report
 //! **equals** its cold counterpart — warm-starting is a wall-clock
-//! optimization with no observable effect, like `--jobs` or `--threads`.
+//! optimization with no observable effect, like `--jobs`.
 //!
 //! Grouping is by [`warm_key`]: two scenarios with the same key evolve
 //! bit-identical state through their warm-up, so one capture serves all of
@@ -52,20 +52,17 @@ impl WarmPoint {
 /// the knobs that cannot affect the first `warmup` cycles normalized away —
 /// the measurement window, the run-to-drain budget (both only decide when
 /// to *stop*, and any stop before `warmup + window` is detected at capture
-/// time) and the thread count (region-sharded execution is bit-identical
-/// at every value). Scenarios with equal keys share one [`WarmPoint`].
+/// time). Scenarios with equal keys share one [`WarmPoint`].
 #[must_use]
 pub fn warm_key(s: &Scenario) -> String {
     let mut normalized = s.clone();
     normalized.window = 0;
     normalized.budget = None;
-    normalized.threads = 1;
     normalized.to_json().to_json()
 }
 
-/// Runs the scenario's warm-up once (serially — snapshots are portable
-/// across thread counts) and checkpoints engine and source at the warm-up
-/// boundary. `None` when warm-starting cannot be exact: no warm-up
+/// Runs the scenario's warm-up once and checkpoints engine and source at
+/// the warm-up boundary. `None` when warm-starting cannot be exact: no warm-up
 /// configured, the scenario does not build, the source drained before the
 /// warm-up completed (the fork could not reproduce the early stop), or
 /// the source does not support checkpointing.
@@ -74,10 +71,8 @@ pub fn capture_warm(s: &Scenario) -> Option<WarmPoint> {
     if s.warmup == 0 {
         return None;
     }
-    let mut serial = s.clone();
-    serial.threads = 1;
-    let mut engine = serial.build_engine().ok()?;
-    let mut source = serial.build_source();
+    let mut engine = s.build_engine().ok()?;
+    let mut source = s.build_source();
     let report = engine.run(&mut *source, s.warmup, s.warmup);
     if report.stop_reason != StopReason::Budget {
         return None;
@@ -91,7 +86,7 @@ pub fn capture_warm(s: &Scenario) -> Option<WarmPoint> {
 }
 
 /// Forks one measurement run from a captured warm-up: builds the
-/// scenario's engine (honoring its thread count) and source, restores
+/// scenario's engine and source, restores
 /// both checkpoints and runs the remaining cycles. The report is
 /// bit-identical to the scenario's cold [`Scenario::run`].
 ///
@@ -154,15 +149,24 @@ mod tests {
     }
 
     #[test]
-    fn one_capture_serves_many_windows_and_thread_counts() {
+    fn capture_records_the_warmup_it_simulated() {
+        for packet in [false, true] {
+            let warm = capture_warm(&windowed(packet)).expect("uniform sources checkpoint");
+            assert_eq!(warm.warmup(), 1_000, "packet={packet}");
+            assert!(warm.size_bytes() > 0, "packet={packet}");
+        }
+    }
+
+    #[test]
+    fn one_capture_serves_many_windows() {
         let s = windowed(false);
         let warm = capture_warm(&s).unwrap();
-        for (window, threads) in [(500, 1), (2_000, 2), (2_000, 4)] {
-            let variant = s.clone().window(window).threads(threads);
+        for window in [500, 2_000] {
+            let variant = s.clone().window(window);
             assert_eq!(warm_key(&variant), warm_key(&s));
             let cold = variant.run().unwrap();
             let forked = run_warm(&variant, &warm).expect("fork runs");
-            assert_eq!(cold, forked, "window={window} threads={threads}");
+            assert_eq!(cold, forked, "window={window}");
         }
     }
 
@@ -182,10 +186,9 @@ mod tests {
     }
 
     #[test]
-    fn warm_key_ignores_stop_and_threading_knobs_only() {
+    fn warm_key_ignores_stop_knobs_only() {
         let s = windowed(false);
         assert_eq!(warm_key(&s), warm_key(&s.clone().window(9_999)));
-        assert_eq!(warm_key(&s), warm_key(&s.clone().threads(8)));
         assert_eq!(warm_key(&s), warm_key(&s.clone().budget(123_456)));
         assert_ne!(warm_key(&s), warm_key(&s.clone().seed(18)));
         assert_ne!(warm_key(&s), warm_key(&s.clone().warmup(2_000)));

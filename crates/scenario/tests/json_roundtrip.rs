@@ -5,7 +5,7 @@
 //! received).
 
 use proptest::prelude::*;
-use scenario::{EngineSpec, PacketProfile, Scenario, TrafficSpec};
+use scenario::{EngineSpec, PacketProfile, Scenario, ScenarioError, TrafficSpec};
 use simkit::Json;
 
 fn engine_strategy() -> impl Strategy<Value = EngineSpec> {
@@ -85,7 +85,6 @@ proptest! {
             prop_oneof![Just(None), (1u64..1_000_000_000).prop_map(Some)],
             0u64..u64::MAX,
         ),
-        threads in 1usize..9,
     ) {
         let (data_width, id_width, max_outstanding, link_stages) = axi;
         let (warmup, window, budget, seed) = stop;
@@ -98,8 +97,7 @@ proptest! {
             .traffic(traffic)
             .warmup(warmup)
             .window(window)
-            .seed(seed)
-            .threads(threads);
+            .seed(seed);
         s.engine = engine;
         s.budget = budget;
 
@@ -144,15 +142,143 @@ fn parse_errors_name_the_problem() {
 }
 
 #[test]
-fn documents_without_a_threads_key_mean_serial() {
-    // Artifacts predating the threads knob must keep parsing (lenient
-    // default 1 = serial).
-    let mut json = Scenario::patronoc().threads(4).to_json();
+fn documents_with_the_retired_threads_key_are_rejected() {
+    // Artifacts written while the region-sharding knob existed carry a
+    // `threads` key; parsing names it instead of silently ignoring it.
+    let mut json = Scenario::patronoc().to_json();
     if let Json::Obj(pairs) = &mut json {
-        pairs.retain(|(k, _)| k != "threads");
+        pairs.push(("threads".to_owned(), Json::U64(4)));
     }
-    let parsed = Scenario::from_json(&json).unwrap();
-    assert_eq!(parsed.threads, 1);
+    let err = Scenario::from_json(&json).unwrap_err();
+    assert!(matches!(err, ScenarioError::Parse(_)), "{err:?}");
+    assert!(err.to_string().contains("`threads`"), "{err}");
+    assert!(err.to_string().contains("retired"), "{err}");
+}
+
+/// `Scenario::patronoc()` serialized, with `key` replaced by (or, when
+/// absent, appended as) `value`.
+fn with_key(key: &str, value: Json) -> Json {
+    let mut json = Scenario::patronoc().window(1_000).to_json();
+    if let Json::Obj(pairs) = &mut json {
+        match pairs.iter_mut().find(|(k, _)| k == key) {
+            Some((_, v)) => *v = value,
+            None => pairs.push((key.to_owned(), value)),
+        }
+    }
+    json
+}
+
+fn parse_error(json: &Json) -> String {
+    match Scenario::from_json(json) {
+        Err(ScenarioError::Parse(msg)) => msg,
+        other => panic!("expected a parse error, got {other:?}"),
+    }
+}
+
+#[test]
+fn retired_threads_key_is_rejected_whatever_its_value() {
+    // Even the old serial default (`1`) is refused: accepting some values
+    // would make the key look live.
+    for value in [
+        Json::U64(0),
+        Json::U64(1),
+        Json::U64(u64::MAX),
+        Json::Null,
+        Json::Bool(false),
+        Json::F64(2.0),
+        Json::str("4"),
+    ] {
+        let msg = parse_error(&with_key("threads", value.clone()));
+        assert!(msg.contains("`threads` is retired"), "{value}: {msg}");
+    }
+}
+
+#[test]
+fn artifacts_written_before_the_threads_key_retired_are_rejected() {
+    // The text the serializer produced while the knob existed: the same
+    // document with `"threads":1` between `seed` and `time_skip`.
+    let current = Scenario::patronoc().window(1_000).to_json().to_json();
+    let legacy = current.replace(",\"time_skip\"", ",\"threads\":1,\"time_skip\"");
+    assert_ne!(legacy, current, "the legacy key was not spliced in");
+    let err = Scenario::from_json_str(&legacy).unwrap_err();
+    assert!(err.to_string().contains("`threads` is retired"), "{err}");
+    // Without the key the same text parses.
+    assert!(Scenario::from_json_str(&current).is_ok());
+}
+
+#[test]
+fn time_skip_key_is_optional_but_typed() {
+    // Absent means on (documents predating the knob); present must be a
+    // boolean.
+    let mut json = Scenario::patronoc()
+        .time_skip(false)
+        .window(1_000)
+        .to_json();
+    if let Json::Obj(pairs) = &mut json {
+        pairs.retain(|(k, _)| k != "time_skip");
+    }
+    assert!(Scenario::from_json(&json).unwrap().time_skip);
+    let off = with_key("time_skip", Json::Bool(false));
+    assert!(!Scenario::from_json(&off).unwrap().time_skip);
+    let msg = parse_error(&with_key("time_skip", Json::U64(1)));
+    assert!(msg.contains("key `time_skip`: expected a boolean"), "{msg}");
+}
+
+#[test]
+fn budget_must_be_null_or_an_integer() {
+    let budgeted = with_key("budget", Json::U64(5_000));
+    assert_eq!(Scenario::from_json(&budgeted).unwrap().budget, Some(5_000));
+    for bad in [Json::str("5000"), Json::F64(5e3), Json::Bool(true)] {
+        let msg = parse_error(&with_key("budget", bad.clone()));
+        assert!(
+            msg.contains("key `budget`: expected null or an integer"),
+            "{bad}: {msg}"
+        );
+    }
+}
+
+#[test]
+fn unknown_labels_are_named() {
+    let msg = parse_error(&with_key("algorithm", Json::str("west-first")));
+    assert!(
+        msg.contains("unknown routing algorithm `west-first`"),
+        "{msg}"
+    );
+    let msg = parse_error(&with_key("connectivity", Json::str("sparse")));
+    assert!(msg.contains("unknown connectivity `sparse`"), "{msg}");
+    let hypercube = Json::obj(vec![("kind", Json::str("hypercube"))]);
+    let msg = parse_error(&with_key("topology", hypercube));
+    assert!(msg.contains("unknown topology kind `hypercube`"), "{msg}");
+}
+
+#[test]
+fn out_of_range_widths_are_rejected_not_truncated() {
+    for key in ["addr_width", "data_width", "id_width", "max_outstanding"] {
+        let msg = parse_error(&with_key(key, Json::U64(1 << 32)));
+        assert!(msg.contains(&format!("key `{key}` out of range")), "{msg}");
+    }
+}
+
+proptest! {
+    #[test]
+    fn any_scenario_carrying_threads_is_rejected(
+        engine in engine_strategy(),
+        topology in topology_strategy(),
+        traffic in traffic_strategy(),
+        threads in any::<u64>(),
+    ) {
+        let mut s = Scenario::patronoc().topology(topology).traffic(traffic).window(1_000);
+        s.engine = engine;
+        let mut json = s.to_json();
+        if let Json::Obj(pairs) = &mut json {
+            pairs.push(("threads".to_owned(), Json::U64(threads)));
+        }
+        let rejected = matches!(
+            Scenario::from_json(&json),
+            Err(ScenarioError::Parse(ref msg)) if msg.contains("`threads` is retired")
+        );
+        prop_assert!(rejected);
+    }
 }
 
 #[test]

@@ -111,6 +111,27 @@ mod tests {
     use super::*;
 
     #[test]
+    fn set_cursor_resumes_the_rotation_and_rejects_out_of_range() {
+        // The checkpoint path: a restored cursor continues the exact grant
+        // sequence of the arbiter it was read from.
+        let mut arb = RoundRobinArbiter::new(4);
+        arb.grant(|_| true);
+        arb.grant(|_| true);
+        assert_eq!(arb.cursor(), 2);
+        let mut restored = RoundRobinArbiter::new(4);
+        restored.set_cursor(arb.cursor()).unwrap();
+        for _ in 0..8 {
+            assert_eq!(restored.grant(|i| i != 1), arb.grant(|i| i != 1));
+        }
+        assert_eq!(restored.set_cursor(4), Err("arbiter cursor out of range"));
+        assert_eq!(
+            restored.cursor(),
+            arb.cursor(),
+            "a rejected cursor changes nothing"
+        );
+    }
+
+    #[test]
     fn round_robin_is_fair() {
         let mut arb = RoundRobinArbiter::new(4);
         let mut grants = [0usize; 4];

@@ -147,31 +147,6 @@ impl<T> Fifo<T> {
         self.buf.is_empty() && self.snap_len == 0 && self.snap_free == self.capacity
     }
 
-    /// Number of elements poppable this cycle (the start-of-cycle snapshot,
-    /// minus pops already performed this cycle). Together with
-    /// [`poppable`](Self::poppable) and [`snap_free`](Self::snap_free) this
-    /// exposes the cycle snapshot to *mirrors*: when a region-sharded engine
-    /// hands two threads the two ends of one channel, each side works on a
-    /// copy of this snapshot and the commit phase replays the recorded
-    /// pops/pushes on the real FIFO (see `simkit::region`).
-    #[must_use]
-    pub fn snap_len(&self) -> usize {
-        self.snap_len
-    }
-
-    /// Number of slots still pushable this cycle (the start-of-cycle
-    /// snapshot, minus pushes already performed this cycle).
-    #[must_use]
-    pub fn snap_free(&self) -> usize {
-        self.snap_free
-    }
-
-    /// Iterates over the elements poppable this cycle, head first — the
-    /// prefix of the queue covered by the start-of-cycle snapshot.
-    pub fn poppable(&self) -> impl Iterator<Item = &T> {
-        self.buf.iter().take(self.snap_len)
-    }
-
     /// Current *raw* occupancy (including values pushed this cycle).
     #[must_use]
     pub fn len(&self) -> usize {
@@ -455,6 +430,42 @@ mod tests {
     }
 
     #[test]
+    fn cycle_view_lags_the_raw_view() {
+        // `len`/`iter` see every push at once; `can_pop`/`peek`/`pop` and
+        // `can_push` see the occupancy frozen at `begin_cycle`.
+        let mut f: Fifo<u8> = Fifo::new(2);
+        f.begin_cycle();
+        f.push(1).unwrap();
+        assert_eq!(f.len(), 1);
+        assert_eq!(f.iter().copied().collect::<Vec<_>>(), [1]);
+        assert!(!f.can_pop());
+        assert_eq!(f.peek(), None);
+        assert!(f.can_push(), "one of two slots is still free this cycle");
+        f.push(2).unwrap();
+        assert!(!f.can_push());
+        f.begin_cycle();
+        assert_eq!(f.peek(), Some(&1));
+        assert_eq!(f.pop(), Some(1));
+        assert_eq!(f.len(), 1);
+        assert!(!f.can_push(), "the popped slot frees next cycle");
+        f.begin_cycle();
+        assert!(f.can_push());
+        assert_eq!(f.capacity(), 2);
+    }
+
+    #[test]
+    fn fresh_fifo_accepts_nothing_before_its_first_cycle() {
+        let mut f: Fifo<u8> = Fifo::new(3);
+        assert!(f.is_empty());
+        assert!(!f.is_idle(), "nothing is pushable until the first cycle");
+        assert!(!f.can_push());
+        assert_eq!(f.push(7), Err(PushError(7)));
+        f.begin_cycle();
+        assert!(f.is_idle());
+        assert!(f.push(7).is_ok());
+    }
+
+    #[test]
     fn clear_resets_everything() {
         let mut f: Fifo<u32> = Fifo::new(2);
         f.begin_cycle();
@@ -493,27 +504,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_accessors_track_the_cycle_view() {
-        let mut f: Fifo<u32> = Fifo::new(4);
-        f.begin_cycle();
-        assert_eq!((f.snap_len(), f.snap_free()), (0, 4));
-        f.push(1).unwrap();
-        f.push(2).unwrap();
-        // Pushes consume free slots but are not poppable this cycle.
-        assert_eq!((f.snap_len(), f.snap_free()), (0, 2));
-        assert_eq!(f.poppable().count(), 0);
-        f.begin_cycle();
-        assert_eq!((f.snap_len(), f.snap_free()), (2, 2));
-        assert_eq!(f.poppable().copied().collect::<Vec<_>>(), vec![1, 2]);
-        f.push(3).unwrap();
-        // The poppable prefix excludes the same-cycle push.
-        assert_eq!(f.poppable().copied().collect::<Vec<_>>(), vec![1, 2]);
-        assert_eq!(f.pop(), Some(1));
-        assert_eq!((f.snap_len(), f.snap_free()), (1, 1));
-        assert_eq!(f.poppable().copied().collect::<Vec<_>>(), vec![2]);
-    }
-
-    #[test]
     fn snapshot_codec_round_trips_mid_cycle_state() {
         use crate::snap::{DecodeLimits, Decoder, Encoder, SnapError};
         let mut f: Fifo<u32> = Fifo::new(4);
@@ -529,7 +519,7 @@ mod tests {
         let mut d = Decoder::new(&bytes, 0, 0, DecodeLimits::default()).unwrap();
         let mut g = Fifo::decode_with(&mut d, 4, |d| d.u32()).unwrap();
         d.finish().unwrap();
-        assert_eq!((g.snap_len(), g.snap_free(), g.len()), (1, 1, 2));
+        assert_eq!(g.len(), 2);
         // Bit-identical behavior from the restored state: one pop and one
         // push remain available this cycle, exactly as in the original.
         assert_eq!(g.pop(), Some(2));

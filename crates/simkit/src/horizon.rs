@@ -73,11 +73,9 @@ impl Horizon {
 /// Folds component horizons into their global minimum.
 ///
 /// Engines report one horizon per component class (source arrivals,
-/// per-region timer wheels, …); the tracker keeps the running min so the
+/// timer wheels, …); the tracker keeps the running min so the
 /// run loop asks a single value: "what is the earliest cycle anyone can
-/// act?". Region-sharded runs feed every region's horizon through one
-/// tracker in the serial pre-phase, so a skip fires only when all regions
-/// agree.
+/// act?". A skip fires only when every component agrees.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HorizonTracker {
     min: Horizon,

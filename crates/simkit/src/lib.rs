@@ -30,12 +30,7 @@
 //!   straight to the earliest cycle anything observable can happen.
 //! * [`pool`] — a scoped worker pool: [`pool::scope_map`] fans independent
 //!   simulation points across threads with index-ordered, serial-identical
-//!   results, and [`pool::crew_scope`] keeps a fixed worker crew alive for
-//!   the per-cycle fork/join of a region-sharded simulation.
-//! * [`region`] — the deterministic mesh partitioner ([`region::RegionMap`])
-//!   and boundary-exchange outboxes ([`region::RegionSet`]) behind
-//!   region-sharded (multi-threaded, bit-identical) single-simulation
-//!   execution.
+//!   results.
 //! * [`report`] — the unified [`SimReport`] / [`StopReason`] every NoC
 //!   engine returns, so comparison harnesses handle one result shape.
 //! * [`json`] — a minimal hand-rolled JSON writer for machine-readable
@@ -67,13 +62,13 @@
 //! ```
 //!
 
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
+
 pub mod arbiter;
 pub mod fifo;
 pub mod horizon;
 pub mod json;
 pub mod pool;
-pub mod region;
 pub mod report;
 pub mod rng;
 pub mod sched;
@@ -86,7 +81,6 @@ pub use arbiter::RoundRobinArbiter;
 pub use fifo::{Fifo, PushError, RegisterSlice};
 pub use horizon::{Horizon, HorizonTracker};
 pub use json::Json;
-pub use region::{DisjointSlots, RegionMap, RegionSet};
 pub use report::{SimReport, StopReason};
 pub use rng::Rng;
 pub use sched::{ActiveSet, SaturateThresholds};

@@ -17,8 +17,7 @@
 //! assert_eq!(squares, vec![0, 1, 4, 9, 16, 25, 36, 49]);
 //! ```
 
-use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// The machine's available parallelism (1 when it cannot be determined) —
@@ -73,210 +72,6 @@ where
                 .expect("every index was claimed by exactly one worker")
         })
         .collect()
-}
-
-/// A dispatched task: type-erased closure pointer plus its call thunk.
-// SAFETY: the thunk's contract — the pointer is a live `F` matching the
-// thunk's instantiation — is upheld by `Crew::run`, the only writer, which
-// publishes both halves together and keeps the closure alive for the epoch.
-type Thunk = (*const (), unsafe fn(*const (), usize));
-
-/// State shared between the crew leader and its workers.
-struct CrewShared {
-    /// Bumped (release) by the leader after publishing a task; workers spin
-    /// on it (acquire) so the task write happens-before the task read.
-    epoch: AtomicU64,
-    /// Workers that finished the current epoch's task.
-    done: AtomicUsize,
-    /// Workers that panicked (their thread is gone; the leader must not
-    /// wait for them again).
-    poisoned: AtomicUsize,
-    /// Set before the final epoch bump to shut the crew down.
-    stop: AtomicBool,
-    /// The current task. Only the leader writes it, and only between
-    /// epochs (after all workers reported done), so accesses never race.
-    task: UnsafeCell<Option<Thunk>>,
-}
-
-// SAFETY: `task` is only written by the leader while no worker is between
-// its epoch-acquire and done-release (enforced by `Crew::run` waiting for
-// `done + poisoned == workers - 1` before returning), so the UnsafeCell is
-// never accessed concurrently.
-unsafe impl Sync for CrewShared {}
-
-/// Spin briefly, then yield — the wait is either a few hundred nanoseconds
-/// (all shards similar-sized) or long enough that burning the core is rude.
-fn relax(spins: &mut u32) {
-    *spins += 1;
-    if *spins < 128 {
-        std::hint::spin_loop();
-    } else {
-        std::thread::yield_now();
-    }
-}
-
-/// A fixed crew of workers for repeated fork/join dispatch.
-///
-/// [`scope_map`] spawns threads per call, which is fine for sweeps that
-/// dispatch once, but a region-sharded simulation forks and joins **every
-/// cycle** — hundreds of thousands of times per run. `crew_scope` spawns
-/// the workers once; each [`run`](Crew::run) hands every worker the same
-/// closure (called with its worker index) and returns once all of them
-/// finished, giving a cycle barrier without thread churn.
-///
-/// Worker 0 is the calling thread itself, so a crew of `n` uses `n - 1`
-/// spawned threads and `workers <= 1` degenerates to a plain closure call
-/// with no synchronization at all — the serial engine path.
-///
-/// ```
-/// use simkit::pool::crew_scope;
-/// use std::sync::atomic::{AtomicUsize, Ordering};
-///
-/// let sum = AtomicUsize::new(0);
-/// crew_scope(4, |crew| {
-///     for _ in 0..10 {
-///         crew.run(&|w| {
-///             sum.fetch_add(w, Ordering::Relaxed);
-///         });
-///     }
-/// });
-/// assert_eq!(sum.load(Ordering::Relaxed), 10 * (0 + 1 + 2 + 3));
-/// ```
-pub struct Crew<'a> {
-    shared: Option<&'a CrewShared>,
-    workers: usize,
-}
-
-impl Crew<'_> {
-    /// Total workers, including the calling thread (always ≥ 1).
-    #[must_use]
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Runs `f(w)` for every worker index `w` in `0..workers()` — `f(0)` on
-    /// the calling thread, the rest on the crew — and returns once **all**
-    /// calls completed (the barrier the sharded engines commit behind).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a worker's `f` panicked (the original panic also
-    /// propagates when the scope joins).
-    pub fn run<F>(&self, f: &F)
-    where
-        F: Fn(usize) + Sync,
-    {
-        let Some(shared) = self.shared else {
-            f(0);
-            return;
-        };
-        /// SAFETY contract: `data` points at a live `F`.
-        unsafe fn call<F: Fn(usize)>(data: *const (), w: usize) {
-            // SAFETY: forwarding the function's own contract — the caller
-            // guarantees `data` points at a live `F`.
-            unsafe { (*data.cast::<F>())(w) }
-        }
-        // SAFETY: all workers from the previous epoch reported done (or
-        // poisoned), so no worker reads `task` until the epoch bump below.
-        unsafe {
-            *shared.task.get() = Some((std::ptr::from_ref(f).cast(), call::<F>));
-        }
-        shared.done.store(0, Ordering::Relaxed);
-        shared.epoch.fetch_add(1, Ordering::Release);
-        f(0);
-        let mut spins = 0;
-        loop {
-            let finished =
-                shared.done.load(Ordering::Acquire) + shared.poisoned.load(Ordering::Acquire);
-            if finished >= self.workers - 1 {
-                break;
-            }
-            relax(&mut spins);
-        }
-        assert!(
-            shared.poisoned.load(Ordering::Acquire) == 0,
-            "crew worker panicked"
-        );
-    }
-}
-
-/// Runs `f` with a [`Crew`] of `workers` threads (including the caller),
-/// spawning the extra threads once and joining them when `f` returns.
-///
-/// # Panics
-///
-/// Propagates panics from `f` or from worker tasks.
-pub fn crew_scope<R>(workers: usize, f: impl FnOnce(&Crew<'_>) -> R) -> R {
-    let workers = workers.max(1);
-    if workers == 1 {
-        return f(&Crew {
-            shared: None,
-            workers: 1,
-        });
-    }
-    let shared = CrewShared {
-        epoch: AtomicU64::new(0),
-        done: AtomicUsize::new(0),
-        poisoned: AtomicUsize::new(0),
-        stop: AtomicBool::new(false),
-        task: UnsafeCell::new(None),
-    };
-    std::thread::scope(|s| {
-        for w in 1..workers {
-            let shared = &shared;
-            s.spawn(move || {
-                let mut seen = 0u64;
-                loop {
-                    let mut spins = 0;
-                    let epoch = loop {
-                        let e = shared.epoch.load(Ordering::Acquire);
-                        if e != seen {
-                            break e;
-                        }
-                        relax(&mut spins);
-                    };
-                    seen = epoch;
-                    if shared.stop.load(Ordering::Acquire) {
-                        break;
-                    }
-                    // SAFETY: the leader published the task before the
-                    // epoch bump we just acquired, and keeps it alive until
-                    // we report done below.
-                    let (data, call) =
-                        unsafe { (*shared.task.get()).expect("task published before epoch bump") };
-                    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-                        // SAFETY: thunk invariant — `data` points at the
-                        // leader's closure, alive for the whole epoch.
-                        || unsafe { call(data, w) },
-                    ));
-                    match outcome {
-                        Ok(()) => {
-                            shared.done.fetch_add(1, Ordering::Release);
-                        }
-                        Err(payload) => {
-                            shared.poisoned.fetch_add(1, Ordering::Release);
-                            std::panic::resume_unwind(payload);
-                        }
-                    }
-                }
-            });
-        }
-        // Shut the crew down even if `f` (or a barrier in `run`) panics —
-        // otherwise the spinning workers would never exit and the scope
-        // join below would hang instead of propagating the panic.
-        struct StopGuard<'a>(&'a CrewShared);
-        impl Drop for StopGuard<'_> {
-            fn drop(&mut self) {
-                self.0.stop.store(true, Ordering::Release);
-                self.0.epoch.fetch_add(1, Ordering::Release);
-            }
-        }
-        let _stop = StopGuard(&shared);
-        f(&Crew {
-            shared: Some(&shared),
-            workers,
-        })
-    })
 }
 
 #[cfg(test)]
@@ -338,84 +133,18 @@ mod tests {
     }
 
     #[test]
+    fn one_job_runs_on_the_calling_thread() {
+        // A serial sweep (`--jobs 1`) spawns no threads at all; more jobs
+        // run every point on scoped workers.
+        let caller = std::thread::current().id();
+        let ids = scope_map(1, 4, |_| std::thread::current().id());
+        assert!(ids.iter().all(|&id| id == caller));
+        let ids = scope_map(2, 4, |_| std::thread::current().id());
+        assert!(ids.iter().all(|&id| id != caller));
+    }
+
+    #[test]
     fn default_jobs_is_positive() {
         assert!(default_jobs() >= 1);
-    }
-
-    #[test]
-    fn crew_runs_every_worker_every_epoch() {
-        use std::sync::atomic::AtomicU64;
-        for workers in [1, 2, 3, 8] {
-            let hits = AtomicU64::new(0);
-            crew_scope(workers, |crew| {
-                assert_eq!(crew.workers(), workers.max(1));
-                for _ in 0..50 {
-                    crew.run(&|w| {
-                        hits.fetch_add(1 + w as u64, Ordering::Relaxed);
-                    });
-                }
-            });
-            let per_epoch: u64 = (1..=workers.max(1) as u64).sum();
-            assert_eq!(hits.load(Ordering::Relaxed), 50 * per_epoch);
-        }
-    }
-
-    #[test]
-    fn crew_run_is_a_barrier() {
-        // Writes from every worker in epoch N must be visible to every
-        // worker in epoch N+1: each epoch increments disjoint slots, then
-        // the next epoch asserts all slots advanced together.
-        let slots: Vec<AtomicUsize> = (0..4).map(|_| AtomicUsize::new(0)).collect();
-        crew_scope(4, |crew| {
-            for epoch in 0..200 {
-                crew.run(&|w| {
-                    assert_eq!(slots[w].load(Ordering::Relaxed), epoch);
-                    for s in &slots {
-                        assert!(s.load(Ordering::Relaxed) >= epoch);
-                    }
-                    slots[w].fetch_add(1, Ordering::Relaxed);
-                });
-            }
-        });
-        for s in &slots {
-            assert_eq!(s.load(Ordering::Relaxed), 200);
-        }
-    }
-
-    #[test]
-    fn crew_returns_closure_value() {
-        let out = crew_scope(3, |crew| {
-            let mut total = 0u64;
-            crew.run(&|_| {});
-            for i in 0..10u64 {
-                total += i;
-            }
-            total
-        });
-        assert_eq!(out, 45);
-    }
-
-    #[test]
-    fn crew_worker_panic_propagates_without_hanging() {
-        let caught = std::panic::catch_unwind(|| {
-            crew_scope(3, |crew| {
-                crew.run(&|w| {
-                    assert!(w != 2, "boom in worker");
-                });
-            });
-        });
-        assert!(caught.is_err());
-    }
-
-    #[test]
-    fn serial_crew_needs_no_threads() {
-        // workers <= 1: the closure must run inline on the caller.
-        let tid = std::thread::current().id();
-        crew_scope(0, |crew| {
-            crew.run(&|w| {
-                assert_eq!(w, 0);
-                assert_eq!(std::thread::current().id(), tid);
-            });
-        });
     }
 }

@@ -62,8 +62,8 @@ pub struct SimReport {
     /// FNV-1a digest of the engine's complete deterministic state at the
     /// moment the report was taken (canonical snapshot encoding minus
     /// wall-clock/meter/scheduler telemetry — see `simkit::snap`). Cheap
-    /// cross-mode divergence telemetry: serial vs region-sharded, active
-    /// vs full-sweep, and straight vs snapshot-restored runs must agree
+    /// cross-mode divergence telemetry: active vs full-sweep, skipping vs
+    /// cycle-by-cycle, and straight vs snapshot-restored runs must agree
     /// on it, so unlike the wall-clock fields it **is** part of
     /// `PartialEq`. A mismatch localizes divergence to the checkpoint
     /// instead of whichever aggregate statistic happens to differ.
@@ -95,13 +95,6 @@ pub struct SimReport {
     /// [`cycles_per_sec`](Self::cycles_per_sec) it is excluded from
     /// `PartialEq`.
     pub cycles_skipped: u64,
-    /// Worker threads the engine simulated this run with (region-sharded
-    /// execution; 1 = the serial cycle loop). Describes *how* the result
-    /// was computed, not the simulated NoC — the whole point of the
-    /// sharded engine is that every thread count produces the same report
-    /// — so like [`cycles_per_sec`](Self::cycles_per_sec) it is excluded
-    /// from `PartialEq`.
-    pub threads: usize,
 }
 
 impl PartialEq for SimReport {
@@ -146,7 +139,6 @@ mod tests {
             slab_high_water: 7,
             allocs_per_kilocycle: 0.25,
             cycles_skipped: 0,
-            threads: 1,
         }
     }
 
@@ -168,7 +160,6 @@ mod tests {
         faster.slab_high_water = 99;
         faster.allocs_per_kilocycle = 42.0;
         faster.cycles_skipped = 11_000;
-        faster.threads = 8;
         assert_eq!(r, faster, "telemetry must not break determinism");
         let mut different = r.clone();
         different.payload_bytes = 99;

@@ -263,6 +263,26 @@ mod tests {
     }
 
     #[test]
+    fn indices_are_a_non_draining_canonical_view() {
+        // The snapshot encoders' view: ascending, leaves the set intact,
+        // and re-inserting it into a fresh set reproduces the drain order.
+        let mut s = ActiveSet::new(200);
+        for i in [130, 3, 64, 3, 7] {
+            s.insert(i);
+        }
+        assert_eq!(s.indices(), vec![3, 7, 64, 130]);
+        assert_eq!(s.len(), 4, "indices() must not drain");
+        let mut rebuilt = ActiveSet::new(200);
+        for i in s.indices() {
+            rebuilt.insert(i);
+        }
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        s.drain_into(&mut a);
+        rebuilt.drain_into(&mut b);
+        assert_eq!(a, b);
+    }
+
+    #[test]
     fn clear_removes_everything() {
         let mut s = ActiveSet::new(128);
         for i in 0..128 {

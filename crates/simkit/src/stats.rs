@@ -120,21 +120,6 @@ impl ThroughputMeter {
             events: d.u64()?,
         })
     }
-
-    /// Moves `other`'s counts into this meter, leaving `other` zeroed (its
-    /// warm-up cutoff is kept, so it can keep recording).
-    ///
-    /// Region-sharded engines give every shard its own meter during the
-    /// parallel phase and fold them into the run's meter at the cycle
-    /// barrier. All counters are integers, so the fold is exact and
-    /// independent of the order shards are absorbed in — a `record` seen
-    /// through an absorbed shard meter is bit-identical to one recorded
-    /// directly.
-    pub fn absorb(&mut self, other: &mut ThroughputMeter) {
-        self.bytes += std::mem::take(&mut other.bytes);
-        self.warmup_bytes += std::mem::take(&mut other.warmup_bytes);
-        self.events += std::mem::take(&mut other.events);
-    }
 }
 
 /// Streaming mean/variance via Welford's algorithm.
@@ -408,6 +393,19 @@ mod tests {
     }
 
     #[test]
+    fn the_warmup_cycle_itself_is_measured() {
+        // The window is `[warmup, now)`: a delivery at exactly the cutoff
+        // counts, one cycle earlier does not; events count window records
+        // only.
+        let mut m = ThroughputMeter::new(10);
+        m.record(9, 7);
+        m.record(10, 5);
+        m.record(11, 0);
+        assert_eq!(m.warmup(), 10);
+        assert_eq!((m.warmup_bytes(), m.bytes(), m.events()), (7, 5, 2));
+    }
+
+    #[test]
     fn throughput_zero_during_warmup() {
         let m = ThroughputMeter::new(10);
         assert_eq!(m.throughput_bytes_s(5), 0.0);
@@ -421,29 +419,6 @@ mod tests {
         // 1 GiB over 1000 cycles (1 µs) = ~1e6 GiB/s / 1e3... just check ratio.
         let t = m.throughput_gib_s(1000);
         assert!((t - 1.0e6).abs() / 1.0e6 < 1e-6);
-    }
-
-    #[test]
-    fn absorb_equals_direct_recording() {
-        let mut direct = ThroughputMeter::new(10);
-        let mut main = ThroughputMeter::new(10);
-        let mut shard = ThroughputMeter::new(10);
-        for (now, bytes) in [(2, 5), (9, 7), (10, 64), (30, 128)] {
-            direct.record(now, bytes);
-            shard.record(now, bytes);
-        }
-        main.absorb(&mut shard);
-        assert_eq!(main.bytes(), direct.bytes());
-        assert_eq!(main.warmup_bytes(), direct.warmup_bytes());
-        assert_eq!(main.events(), direct.events());
-        assert_eq!(
-            main.throughput_bytes_s(40).to_bits(),
-            direct.throughput_bytes_s(40).to_bits()
-        );
-        // The shard meter is drained but still usable.
-        assert_eq!(shard.bytes(), 0);
-        shard.record(20, 1);
-        assert_eq!(shard.bytes(), 1);
     }
 
     #[test]
