@@ -9,7 +9,6 @@
 //!   become available to the producer only in the next cycle. With a depth of
 //!   two this behaves exactly like a full-throughput AXI register slice
 //!   ("cut" in the paper's Table I).
-//! * [`RegisterSlice`] — a depth-2 [`Fifo`] newtype for readability.
 //! * [`RoundRobinArbiter`] — the work-conserving round-robin arbiter used at
 //!   every crossbar output port.
 //! * [`Rng`] — a deterministic xoshiro256** PRNG so every simulation is
@@ -78,7 +77,7 @@ pub mod stats;
 pub mod watchdog;
 
 pub use arbiter::RoundRobinArbiter;
-pub use fifo::{Fifo, PushError, RegisterSlice};
+pub use fifo::{Fifo, PushError};
 pub use horizon::{Horizon, HorizonTracker};
 pub use json::Json;
 pub use report::{SimReport, StopReason};
