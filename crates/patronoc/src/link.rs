@@ -236,9 +236,6 @@ impl<T> Channel<T> {
     pub fn begin_cycle(&mut self) -> bool {
         self.first.begin_cycle();
         let mut occupied = self.first.len > 0;
-        if self.rest.is_empty() {
-            return occupied;
-        }
         for s in &mut self.rest {
             s.begin_cycle();
             occupied |= s.len > 0;
@@ -249,7 +246,9 @@ impl<T> Channel<T> {
             let (front, back) = self.rest.split_at_mut(i);
             front[i - 1].advance_into(&mut back[0]);
         }
-        self.first.advance_into(&mut self.rest[0]);
+        if let Some(next) = self.rest.first_mut() {
+            self.first.advance_into(next);
+        }
         occupied
     }
 

@@ -368,7 +368,8 @@ impl Xp {
     /// The head of output `o`'s B (write = true) or R channel as the
     /// response stages see it: `None` without a poppable beat, else the
     /// upstream source its remapped ID resolves to (`Some(None)` if the ID
-    /// is unmapped).
+    /// is unmapped). The stages read every output's head once up front and
+    /// re-read only a popped output, since they push to input links only.
     fn resp_head(&self, links: &[AxiLink], o: usize, write: bool) -> Option<Option<SourceKey>> {
         let out_idx = self.out_links[o]?;
         if write {
@@ -380,16 +381,9 @@ impl Xp {
         }
     }
 
-    /// Every output's [`resp_head`](Self::resp_head), read once per stage;
-    /// a pop re-reads only the popped output, since the B and R stages
-    /// push to input links only.
-    fn resp_heads(&self, links: &[AxiLink], write: bool) -> [Option<Option<SourceKey>>; PORTS] {
-        std::array::from_fn(|o| self.resp_head(links, o, write))
-    }
-
     /// B stage: route write responses back through the remap tables.
     fn step_b(&mut self, links: &mut [AxiLink]) -> bool {
-        let mut heads = self.resp_heads(links, true);
+        let mut heads: [_; PORTS] = std::array::from_fn(|o| self.resp_head(links, o, true));
         if heads.iter().all(Option::is_none) {
             return false;
         }
@@ -421,7 +415,7 @@ impl Xp {
 
     /// R stage: route read data back, keeping bursts atomic per upstream.
     fn step_r(&mut self, links: &mut [AxiLink]) -> bool {
-        let mut heads = self.resp_heads(links, false);
+        let mut heads: [_; PORTS] = std::array::from_fn(|o| self.resp_head(links, o, false));
         if heads.iter().all(Option::is_none) {
             return false;
         }
