@@ -1,24 +1,22 @@
 //! Checkpoint/restore pinning matrix: `Engine::snapshot` → `restore` →
 //! run must be **bit-identical** to running straight through, for both
-//! engines, every traffic class, every operating point and both stepping
-//! modes — a snapshot is a complete capture of
-//! deterministic simulation state, and warm-start forking (see
-//! `scenario::warm` and `bench::sweep::WarmCache`) is therefore a
-//! wall-clock-only optimization.
+//! engines, every traffic class, every operating point and every stepping
+//! mode — a snapshot is a complete capture of deterministic simulation
+//! state. Each case checkpoints engine *and* traffic source at the
+//! warm-up boundary, restores both into fresh instances, continues, and
+//! compares against the straight run.
 //!
 //! The second half pins the safety contract: snapshots are self-
 //! validating (`simkit::snap`), so a corrupt, truncated, oversized or
 //! wrong-engine byte string is rejected **before any engine state is
 //! constructed**, leaving the running engine untouched byte for byte.
 
-use bench::perf::{
-    capture_packet_warm, capture_patronoc_warm, run_packet, run_packet_warm, run_patronoc,
-    run_patronoc_warm, Runner, StepMode, WarmCapture, WarmRunner,
-};
-use scenario::{capture_warm, run_warm, Engine, PacketProfile, Scenario, TrafficSpec};
+use bench::perf::{StepMode, PERF_SEED};
+use bench::{noxim_uniform_scenario, patronoc_uniform_scenario};
+use scenario::{Engine, PacketProfile, Scenario, TrafficSpec};
 use simkit::snap::{DecodeLimits, Decoder, SnapError};
-use simkit::SimReport;
-use traffic::{DnnWorkload, SyntheticPattern};
+use simkit::{SimReport, StopReason};
+use traffic::{DnnWorkload, SyntheticPattern, TrafficSource};
 
 const WINDOW: u64 = 4_000;
 const WARMUP: u64 = 1_500;
@@ -42,6 +40,38 @@ fn assert_bit_identical(cold: &SimReport, forked: &SimReport, what: &str) {
         forked.mean_latency.to_bits(),
         "{what}: mean latency bits diverged"
     );
+}
+
+/// Runs `max_cycles` (measuring after `warmup`) twice: straight through,
+/// and forked — engine and source checkpointed at the warm-up boundary,
+/// restored into fresh instances built by `build`, then continued. Returns
+/// `[straight, forked]` with the engine each run finished on.
+fn straight_and_forked<E: Engine + ?Sized>(
+    build: impl Fn() -> (Box<E>, Box<dyn TrafficSource>),
+    max_cycles: u64,
+    warmup: u64,
+) -> [(SimReport, Box<E>); 2] {
+    let (mut straight, mut src) = build();
+    let straight_report = straight.run(&mut *src, max_cycles, warmup);
+
+    let (mut warm, mut warm_src) = build();
+    let boundary = warm.run(&mut *warm_src, warmup, warmup);
+    assert_eq!(
+        boundary.stop_reason,
+        StopReason::Budget,
+        "the source drained before the warm-up boundary"
+    );
+    let engine_bytes = warm.snapshot();
+    let source_bytes = warm_src.snapshot_state().expect("source checkpoints");
+    let (mut forked, mut forked_src) = build();
+    forked
+        .restore(&engine_bytes)
+        .expect("pristine snapshot restores");
+    assert!(forked_src.restore_state(&source_bytes), "source restores");
+    // The engine already sits at the warm-up boundary: measure from its
+    // current cycle, where the straight run's meter armed.
+    let forked_report = forked.run(&mut *forked_src, max_cycles - warmup, 0);
+    [(straight_report, straight), (forked_report, forked)]
 }
 
 /// The windowed matrix: both engines × {uniform, synthetic} × the three
@@ -97,47 +127,92 @@ fn matrix() -> Vec<(String, Scenario)> {
 }
 
 #[test]
-fn warm_forks_match_cold_runs_across_the_traffic_matrix() {
+fn restored_runs_match_straight_runs_across_the_traffic_matrix() {
     for (what, sc) in matrix() {
-        let cold = sc.run().expect("valid scenario");
-        let warm = capture_warm(&sc).expect("every matrix source checkpoints");
-        let forked = run_warm(&sc, &warm).expect("warm fork runs");
-        assert_bit_identical(&cold, &forked, &what);
+        let max_cycles = sc.budget.unwrap_or(sc.warmup + sc.window);
+        let [(straight, _), (forked, _)] = straight_and_forked(
+            || {
+                let engine = sc.build_engine().expect("valid scenario");
+                (engine, sc.build_source())
+            },
+            max_cycles,
+            sc.warmup,
+        );
+        assert_bit_identical(&straight, &forked, &what);
     }
 }
 
 #[test]
-fn warm_forks_match_cold_runs_in_both_stepping_modes() {
+fn restored_runs_match_straight_runs_in_every_stepping_mode() {
     // The stepping strategy (activity-driven vs full sweep, with or
-    // without event-horizon time skipping) evolves bit-identical state
-    // and is excluded from the snapshot shape, so a per-mode checkpoint
-    // forks runs whose report *and* deterministic scheduler work counter
-    // match the cold run exactly.
-    let engines: [(&str, Runner, WarmCapture, WarmRunner); 2] = [
-        (
-            "patronoc",
-            run_patronoc,
-            capture_patronoc_warm,
-            run_patronoc_warm,
-        ),
-        ("packet", run_packet, capture_packet_warm, run_packet_warm),
-    ];
-    for (name, runner, capture, warm_run) in engines {
-        for &load in &[0.001, 1.0] {
-            for mode in [
-                StepMode::active(true),
-                StepMode::active(false),
-                StepMode::full(),
-            ] {
-                let cold = runner(load, WINDOW, WARMUP, mode);
-                let warm = capture(load, WARMUP, mode).expect("perf points checkpoint");
-                let forked = warm_run(load, WINDOW, WARMUP, mode, &warm).expect("warm fork runs");
-                let what = format!("{name} load {load} mode {mode:?}");
-                assert_bit_identical(&cold.report, &forked.report, &what);
-                assert_eq!(cold.work_items, forked.work_items, "{what}: work diverged");
-            }
+    // without event-horizon time skipping) is excluded from the snapshot
+    // shape, and the deterministic scheduler work counter and the slab
+    // telemetry are part of the checkpoint: a restored run must match the
+    // straight run in all of them, not just in `SimReport::eq`. Uses the
+    // perf micro-sweep's points.
+    let max_cycles = WARMUP + WINDOW;
+    for &load in &[0.001, 1.0] {
+        for mode in [
+            StepMode::active(true),
+            StepMode::active(false),
+            StepMode::full(),
+        ] {
+            let sc = patronoc_uniform_scenario(32, load, 1_000, WINDOW, WARMUP, PERF_SEED);
+            let [(straight, a), (forked, b)] = straight_and_forked(
+                || {
+                    let mut cfg = sc.noc_config().expect("valid perf scenario");
+                    cfg.full_sweep = mode.full_sweep;
+                    cfg.time_skip = mode.time_skip;
+                    let sim = patronoc::NocSim::new(cfg).expect("valid configuration");
+                    (Box::new(sim), sc.build_source())
+                },
+                max_cycles,
+                WARMUP,
+            );
+            let what = format!("patronoc load {load} mode {mode:?}");
+            assert_same_run(&straight, &forked, a.work_items(), b.work_items(), &what);
+
+            let sc = noxim_uniform_scenario(
+                PacketProfile::Compact,
+                load,
+                100,
+                WINDOW,
+                WARMUP,
+                PERF_SEED,
+            );
+            let [(straight, a), (forked, b)] = straight_and_forked(
+                || {
+                    let mut cfg = PacketProfile::Compact.base_config();
+                    cfg.full_sweep = mode.full_sweep;
+                    cfg.time_skip = mode.time_skip;
+                    (
+                        Box::new(packetnoc::PacketNocSim::new(cfg)),
+                        sc.build_source(),
+                    )
+                },
+                max_cycles,
+                WARMUP,
+            );
+            let what = format!("packet load {load} mode {mode:?}");
+            assert_same_run(&straight, &forked, a.work_items(), b.work_items(), &what);
         }
     }
+}
+
+/// [`assert_bit_identical`] plus the telemetry outside `SimReport::eq`
+/// that is still deterministic: work items and slab counters.
+fn assert_same_run(a: &SimReport, b: &SimReport, work_a: u64, work_b: u64, what: &str) {
+    assert_bit_identical(a, b, what);
+    assert_eq!(work_a, work_b, "{what}: work diverged");
+    assert_eq!(
+        a.slab_high_water, b.slab_high_water,
+        "{what}: slab high water diverged"
+    );
+    assert_eq!(
+        a.allocs_per_kilocycle.to_bits(),
+        b.allocs_per_kilocycle.to_bits(),
+        "{what}: allocation rate diverged"
+    );
 }
 
 /// A warmed-up engine of each kind, plus its snapshot, for the safety

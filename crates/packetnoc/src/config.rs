@@ -1,7 +1,5 @@
 //! Baseline NoC configuration (the paper's two Noxim setups).
 
-use simkit::SaturateThresholds;
-
 /// Configuration of the packet-based baseline NoC.
 ///
 /// Defaults mirror the paper's Noxim runs: 4×4 mesh, XY routing, 32-bit
@@ -53,11 +51,6 @@ pub struct PacketNocConfig {
     /// [`full_sweep`](Self::full_sweep) forces it off: the debug sweep
     /// steps every cycle by definition.
     pub time_skip: bool,
-    /// Two-regime scheduler thresholds (saturated-regime entry/exit). The
-    /// default reproduces the previously hard-coded
-    /// [`simkit::sched::SATURATE_ENTER`] / [`simkit::sched::SATURATE_EXIT`]
-    /// fractions bit-for-bit.
-    pub saturate: SaturateThresholds,
 }
 
 impl PacketNocConfig {
@@ -76,7 +69,6 @@ impl PacketNocConfig {
             ni_queue_cap: 64,
             full_sweep: false,
             time_skip: true,
-            saturate: SaturateThresholds::default(),
         }
     }
 

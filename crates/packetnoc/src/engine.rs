@@ -13,7 +13,7 @@ use crate::ni::NetworkInterface;
 use crate::router::{Flit, FlitKind, Port, Router, LOCAL, PORTS};
 use crate::snapcodec::{corrupt, decode_transfer, encode_transfer};
 use crate::txn::{TxHandle, TxRecord};
-use simkit::sched::ActiveSet;
+use simkit::sched::{self, ActiveSet};
 use simkit::slab::SlabStats;
 use simkit::snap::{DecodeLimits, Decoder, Encoder, SnapError};
 use simkit::{
@@ -184,6 +184,11 @@ impl PacketNocSim {
         let deadline = self.now + max_cycles;
         self.stop_reason = StopReason::Budget;
         let mut watchdog = ProgressWatchdog::new(self.now, self.progress_marker());
+        #[expect(
+            clippy::disallowed_methods,
+            clippy::disallowed_types,
+            reason = "telemetry only: wall_start feeds the cycles/sec report, never a simulated value"
+        )]
         let wall_start = std::time::Instant::now();
         let first_cycle = self.now;
         while self.now < deadline {
@@ -468,18 +473,14 @@ impl PacketNocSim {
             let live = self.step_full(source);
             // Counterfactual precise-mode cost ≈ live buffers + every NI
             // and router.
-            if self
-                .cfg
-                .saturate
-                .should_desaturate(live + comps, full_items)
-            {
+            if sched::should_desaturate(live + comps, full_items) {
                 self.saturated = false;
                 self.rebuild_sets();
             }
             return;
         }
         let tracked = self.step_tracked(source);
-        if self.cfg.saturate.should_saturate(tracked, full_items) {
+        if sched::should_saturate(tracked, full_items) {
             self.saturated = true;
             self.hot_bufs.clear();
             self.hot_nis.clear();
@@ -588,9 +589,9 @@ impl PacketNocSim {
     /// Configuration fingerprint carried in the snapshot header: FNV-1a 64
     /// over the canonical encoding of every behaviour-affecting
     /// configuration field. The stepping-strategy knobs —
-    /// [`PacketNocConfig::full_sweep`], [`PacketNocConfig::time_skip`] and
-    /// the saturate thresholds — are deliberately **excluded**: every
-    /// stepping strategy evolves bit-identical state (pinned by the
+    /// [`PacketNocConfig::full_sweep`] and
+    /// [`PacketNocConfig::time_skip`] — are deliberately **excluded**:
+    /// every stepping strategy evolves bit-identical state (pinned by the
     /// equivalence tests), so a snapshot is portable across all of them
     /// and the state digest never depends on how the state was stepped.
     #[must_use]

@@ -3,7 +3,6 @@
 use crate::routing::{Connectivity, RoutingAlgorithm};
 use crate::topology::Topology;
 use axi::{AxiParams, ConfigError};
-use simkit::SaturateThresholds;
 
 /// Configuration of one PATRONoC instance plus its evaluation testbench.
 ///
@@ -74,11 +73,6 @@ pub struct NocConfig {
     /// the reference path stays runnable. [`full_sweep`](Self::full_sweep)
     /// forces it off: the debug sweep steps every cycle by definition.
     pub time_skip: bool,
-    /// Two-regime scheduler thresholds (saturated-regime entry/exit). The
-    /// default reproduces the previously hard-coded
-    /// [`simkit::sched::SATURATE_ENTER`] / [`simkit::sched::SATURATE_EXIT`]
-    /// fractions bit-for-bit.
-    pub saturate: SaturateThresholds,
 }
 
 impl NocConfig {
@@ -103,7 +97,6 @@ impl NocConfig {
             slaves: (0..n).collect(),
             full_sweep: false,
             time_skip: true,
-            saturate: SaturateThresholds::default(),
         }
     }
 

@@ -47,9 +47,7 @@ pub mod engine;
 #[allow(clippy::module_inception)] // `scenario::Scenario` is the crate's point
 pub mod scenario;
 pub mod spec;
-pub mod warm;
 
 pub use engine::Engine;
 pub use scenario::{Scenario, ScenarioError};
 pub use spec::{EngineSpec, PacketProfile, TrafficSpec};
-pub use warm::{capture_warm, run_warm, warm_key, WarmPoint};

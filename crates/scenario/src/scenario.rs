@@ -7,8 +7,8 @@ use patronoc::{Connectivity, NocConfig, NocSim, RoutingAlgorithm, Topology};
 use simkit::{Json, SimReport, StopReason};
 use std::fmt;
 use traffic::{
-    dnn::DnnConfig, DnnTraffic, SyntheticConfig, SyntheticTraffic, TrafficSource, UniformConfig,
-    UniformRandom,
+    dnn::DnnConfig, DnnTraffic, SyntheticConfig, SyntheticPattern, SyntheticTraffic, TrafficSource,
+    UniformConfig, UniformRandom,
 };
 
 /// Why a scenario could not be instantiated or run.
@@ -18,7 +18,8 @@ pub enum ScenarioError {
     Config(ConfigError),
     /// The packet baseline only models 2D meshes.
     PacketNeedsMesh(Topology),
-    /// Synthetic patterns place their slaves on a 2D mesh.
+    /// Synthetic patterns place their slaves on a 2D mesh of at least 3×3
+    /// (square for a transpose).
     SyntheticNeedsMesh(Topology),
     /// Neither a measurement window nor a cycle budget was given.
     NoStopCondition,
@@ -40,7 +41,8 @@ impl fmt::Display for ScenarioError {
             Self::SyntheticNeedsMesh(t) => {
                 write!(
                     f,
-                    "synthetic patterns place their slaves on a 2D mesh, got {t}"
+                    "synthetic patterns place their slaves on a 2D mesh of at least \
+                     3x3 (square for a transpose), got {t}"
                 )
             }
             Self::NoStopCondition => {
@@ -298,6 +300,22 @@ impl Scenario {
         }
     }
 
+    /// Checks that a synthetic `pattern` can be placed on the topology:
+    /// its edge/center structure needs a mesh of at least 3×3, and a
+    /// transpose a square one.
+    fn synthetic_mesh(&self, pattern: SyntheticPattern) -> Result<(usize, usize), ScenarioError> {
+        match self.mesh_dims() {
+            Some((cols, rows))
+                if cols >= 3
+                    && rows >= 3
+                    && (pattern != SyntheticPattern::Transpose || cols == rows) =>
+            {
+                Ok((cols, rows))
+            }
+            _ => Err(ScenarioError::SyntheticNeedsMesh(self.topology)),
+        }
+    }
+
     /// Payload bytes one injection slot carries: DW/8 for PATRONoC, one
     /// flit for the packet baseline (what "load 1.0" means per engine).
     #[must_use]
@@ -352,9 +370,7 @@ impl Scenario {
         cfg.region_size = self.region_size;
         cfg.time_skip = self.time_skip;
         if let TrafficSpec::Synthetic { pattern, .. } = self.traffic {
-            let (cols, rows) = self
-                .mesh_dims()
-                .ok_or(ScenarioError::SyntheticNeedsMesh(self.topology))?;
+            let (cols, rows) = self.synthetic_mesh(pattern)?;
             cfg.slaves = pattern.slave_nodes(cols, rows);
         }
         Ok(cfg)
@@ -384,6 +400,9 @@ impl Scenario {
                 let (cols, rows) = self
                     .mesh_dims()
                     .ok_or(ScenarioError::PacketNeedsMesh(self.topology))?;
+                if let TrafficSpec::Synthetic { pattern, .. } = self.traffic {
+                    self.synthetic_mesh(pattern)?;
+                }
                 let mut cfg = profile.base_config();
                 cfg.cols = cols;
                 cfg.rows = rows;
@@ -550,7 +569,9 @@ impl Scenario {
     /// # Errors
     ///
     /// [`ScenarioError::Parse`] naming the missing key, wrong type,
-    /// unknown label or retired key (`threads`: the engines run one
+    /// unknown label, out-of-range traffic value (see
+    /// [`TrafficSpec::from_json`]; also a `max_transfer` larger than
+    /// `region_size`) or retired key (`threads`: the engines run one
     /// serial cycle loop, so the knob no longer exists).
     pub fn from_json(v: &Json) -> Result<Self, ScenarioError> {
         use crate::spec::{get_str, get_u64, obj_get};
@@ -632,7 +653,7 @@ impl Scenario {
             }
             Err(_) => true,
         };
-        Ok(Self {
+        let scenario = Self {
             engine: parse(crate::spec::EngineSpec::from_json(parse(obj_get(
                 v, "engine",
             ))?))?,
@@ -653,7 +674,19 @@ impl Scenario {
             budget,
             seed: parse(get_u64(v, "seed"))?,
             time_skip,
-        })
+        };
+        if let TrafficSpec::Uniform { max_transfer, .. }
+        | TrafficSpec::Synthetic { max_transfer, .. } = scenario.traffic
+        {
+            if max_transfer > scenario.region_size {
+                return Err(ScenarioError::Parse(format!(
+                    "key `max_transfer`: {max_transfer} B transfers do not fit in a \
+                     {} B region",
+                    scenario.region_size
+                )));
+            }
+        }
+        Ok(scenario)
     }
 
     /// Parses a scenario straight from JSON text — what a trace-replay
@@ -727,7 +760,6 @@ impl Scenario {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use traffic::SyntheticPattern;
 
     #[test]
     fn windowed_run_reports_window_complete() {
@@ -783,6 +815,45 @@ mod tests {
             .run()
             .unwrap_err();
         assert!(matches!(err, ScenarioError::SyntheticNeedsMesh(_)), "{err}");
+    }
+
+    #[test]
+    fn synthetic_on_too_small_or_non_square_mesh_is_an_error_not_a_panic() {
+        let cases = [
+            (
+                Topology::Mesh { cols: 2, rows: 2 },
+                SyntheticPattern::AllGlobal,
+            ),
+            (
+                Topology::Mesh { cols: 2, rows: 4 },
+                SyntheticPattern::MaxTwoHop,
+            ),
+            (
+                Topology::Mesh { cols: 3, rows: 4 },
+                SyntheticPattern::Transpose,
+            ),
+        ];
+        for (topology, pattern) in cases {
+            for base in [
+                Scenario::patronoc(),
+                Scenario::packet(PacketProfile::Compact),
+            ] {
+                let err = base
+                    .topology(topology)
+                    .traffic(TrafficSpec::synthetic(pattern, 1000))
+                    .window(1_000)
+                    .run()
+                    .unwrap_err();
+                assert_eq!(err, ScenarioError::SyntheticNeedsMesh(topology));
+            }
+        }
+        // The smallest valid placements still run.
+        Scenario::packet(PacketProfile::Compact)
+            .topology(Topology::Mesh { cols: 3, rows: 3 })
+            .traffic(TrafficSpec::synthetic(SyntheticPattern::Transpose, 1000))
+            .window(500)
+            .run()
+            .unwrap();
     }
 
     #[test]

@@ -201,20 +201,23 @@ impl TrafficSpec {
     ///
     /// # Errors
     ///
-    /// A message naming the missing key, wrong type or unknown label.
+    /// A message naming the missing key, wrong type, unknown label or
+    /// out-of-range value: a load outside `(0, 1]`, a zero `max_transfer`,
+    /// a `read_fraction` outside `[0, 1]` or zero DNN `steps` (values the
+    /// traffic generators would otherwise panic on, or silently clamp).
     pub fn from_json(v: &Json) -> Result<Self, String> {
         match get_str(v, "kind")? {
             "uniform" => Ok(Self::Uniform {
-                load: get_f64(v, "load")?,
-                max_transfer: get_u64(v, "max_transfer")?,
-                read_fraction: get_f64(v, "read_fraction")?,
+                load: get_load(v)?,
+                max_transfer: get_max_transfer(v)?,
+                read_fraction: get_read_fraction(v)?,
                 copies: get_bool(v, "copies")?,
             }),
             "synthetic" => Ok(Self::Synthetic {
                 pattern: pattern_from_label(get_str(v, "pattern")?)?,
-                load: get_f64(v, "load")?,
-                max_transfer: get_u64(v, "max_transfer")?,
-                read_fraction: get_f64(v, "read_fraction")?,
+                load: get_load(v)?,
+                max_transfer: get_max_transfer(v)?,
+                read_fraction: get_read_fraction(v)?,
             }),
             "dnn" => {
                 let name = get_str(v, "workload")?;
@@ -222,14 +225,47 @@ impl TrafficSpec {
                     .into_iter()
                     .find(|w| w.name() == name)
                     .ok_or_else(|| format!("unknown DNN workload `{name}`"))?;
-                Ok(Self::Dnn {
-                    workload,
-                    steps: usize::try_from(get_u64(v, "steps")?)
-                        .map_err(|_| "steps exceeds usize".to_owned())?,
-                })
+                let steps = usize::try_from(get_u64(v, "steps")?)
+                    .map_err(|_| "steps exceeds usize".to_owned())?;
+                if steps == 0 {
+                    return Err("key `steps`: expected at least one step, got `0`".to_owned());
+                }
+                Ok(Self::Dnn { workload, steps })
             }
             other => Err(format!("unknown traffic kind `{other}`")),
         }
+    }
+}
+
+/// Reads the offered `load`: a finite fraction in `(0, 1]`.
+fn get_load(v: &Json) -> Result<f64, String> {
+    let load = get_f64(v, "load")?;
+    if load > 0.0 && load <= 1.0 {
+        Ok(load)
+    } else {
+        Err(format!(
+            "key `load`: expected a value in (0, 1], got `{load}`"
+        ))
+    }
+}
+
+/// Reads `max_transfer`: transfers carry at least one byte.
+fn get_max_transfer(v: &Json) -> Result<u64, String> {
+    match get_u64(v, "max_transfer")? {
+        0 => Err("key `max_transfer`: expected at least one byte, got `0`".to_owned()),
+        n => Ok(n),
+    }
+}
+
+/// Reads `read_fraction`: a probability in `[0, 1]`.
+fn get_read_fraction(v: &Json) -> Result<f64, String> {
+    let fraction = get_f64(v, "read_fraction")?;
+    if (0.0..=1.0).contains(&fraction) {
+        Ok(fraction)
+    } else {
+        Err(format!(
+            "key `read_fraction`: expected a value in [0, 1], got `{fraction}`"
+        ))
     }
 }
 

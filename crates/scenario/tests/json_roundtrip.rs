@@ -259,6 +259,104 @@ fn out_of_range_widths_are_rejected_not_truncated() {
     }
 }
 
+fn traffic_obj(kind: &str, fields: Vec<(&str, Json)>) -> Json {
+    let mut pairs = vec![("kind", Json::str(kind))];
+    pairs.extend(fields);
+    Json::obj(pairs)
+}
+
+fn uniform(load: f64, max_transfer: u64, read_fraction: f64) -> Json {
+    traffic_obj(
+        "uniform",
+        vec![
+            ("load", Json::F64(load)),
+            ("max_transfer", Json::U64(max_transfer)),
+            ("read_fraction", Json::F64(read_fraction)),
+            ("copies", Json::Bool(false)),
+        ],
+    )
+}
+
+fn synthetic(load: f64, max_transfer: u64, read_fraction: f64) -> Json {
+    traffic_obj(
+        "synthetic",
+        vec![
+            ("pattern", Json::str("all-global")),
+            ("load", Json::F64(load)),
+            ("max_transfer", Json::U64(max_transfer)),
+            ("read_fraction", Json::F64(read_fraction)),
+        ],
+    )
+}
+
+#[test]
+fn out_of_range_traffic_values_are_parse_errors_not_panics() {
+    // Each document used to parse, and then either panicked in the
+    // traffic generator once the scenario ran (zero load, zero-byte
+    // transfers, zero DNN steps, transfers larger than a region) or
+    // silently clamped a probability (`read_fraction` 7).
+    let region = 1u64 << 24;
+    let cases = [
+        (uniform(0.0, 1_000, 0.5), "key `load`"),
+        (uniform(-0.5, 1_000, 0.5), "key `load`"),
+        (uniform(1.5, 1_000, 0.5), "key `load`"),
+        (uniform(f64::NAN, 1_000, 0.5), "key `load`"),
+        (uniform(f64::INFINITY, 1_000, 0.5), "key `load`"),
+        (uniform(0.5, 0, 0.5), "key `max_transfer`"),
+        (uniform(0.5, region + 1, 0.5), "key `max_transfer`"),
+        (uniform(0.5, 1_000, 7.0), "key `read_fraction`"),
+        (uniform(0.5, 1_000, -0.1), "key `read_fraction`"),
+        (uniform(0.5, 1_000, f64::NAN), "key `read_fraction`"),
+        (synthetic(0.0, 1_000, 0.5), "key `load`"),
+        (synthetic(0.5, 0, 0.5), "key `max_transfer`"),
+        (synthetic(0.5, region + 1, 0.5), "key `max_transfer`"),
+        (synthetic(0.5, 1_000, 7.0), "key `read_fraction`"),
+        (
+            traffic_obj(
+                "dnn",
+                vec![
+                    ("workload", Json::str("Pipe Conv")),
+                    ("steps", Json::U64(0)),
+                ],
+            ),
+            "key `steps`",
+        ),
+    ];
+    for (traffic, key) in cases {
+        let doc = with_key("traffic", traffic.clone());
+        let outcome = std::panic::catch_unwind(|| Scenario::from_json(&doc));
+        match outcome {
+            Ok(Err(ScenarioError::Parse(msg))) => assert!(msg.contains(key), "{traffic}: {msg}"),
+            Ok(other) => panic!("{traffic}: expected a parse error, got {other:?}"),
+            Err(_) => panic!("{traffic}: parsing panicked"),
+        }
+    }
+}
+
+#[test]
+fn boundary_traffic_values_still_parse_and_run() {
+    // The closed ends of the ranges stay valid: full load, all-write and
+    // all-read mixes, one-byte and region-sized transfers, one DNN step.
+    let region = 1u64 << 24;
+    for traffic in [
+        uniform(1.0, 1, 0.0),
+        uniform(1.0, region, 1.0),
+        synthetic(1.0, 1, 1.0),
+        traffic_obj(
+            "dnn",
+            vec![
+                ("workload", Json::str("Pipe Conv")),
+                ("steps", Json::U64(1)),
+            ],
+        ),
+    ] {
+        let mut sc = Scenario::from_json(&with_key("traffic", traffic.clone()))
+            .unwrap_or_else(|e| panic!("{traffic}: {e}"));
+        sc.window = 200;
+        sc.run().unwrap_or_else(|e| panic!("{traffic}: {e}"));
+    }
+}
+
 proptest! {
     #[test]
     fn any_scenario_carrying_threads_is_rejected(

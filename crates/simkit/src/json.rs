@@ -564,6 +564,10 @@ mod tests {
 
     #[test]
     fn write_file_appends_newline() {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "test-only scratch path; no simulated value depends on it"
+        )]
         let path = std::env::temp_dir().join("bench_json_test.json");
         Json::obj(vec![("k", Json::U64(1))])
             .write_file(&path)

@@ -82,7 +82,7 @@ pub use horizon::{Horizon, HorizonTracker};
 pub use json::Json;
 pub use report::{SimReport, StopReason};
 pub use rng::Rng;
-pub use sched::{ActiveSet, SaturateThresholds};
+pub use sched::ActiveSet;
 pub use slab::{Handle, HandleQueue, Slab, SlabStats};
 pub use stats::{Histogram, RunningStats, ThroughputMeter};
 pub use watchdog::ProgressWatchdog;

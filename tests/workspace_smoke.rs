@@ -30,3 +30,26 @@ fn slim_4x4_constructs_and_runs() {
         .expect("slim_4x4 must be a valid scenario");
     assert!(report.payload_bytes > 0, "no traffic delivered");
 }
+
+#[test]
+fn every_crate_root_forbids_unsafe_code() {
+    // No crate may contain `unsafe` at all; pin the attribute that makes
+    // the compiler enforce it.
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut roots = vec![root.join("src/lib.rs")];
+    for entry in std::fs::read_dir(root.join("crates")).expect("crates/ readable") {
+        let lib = entry.expect("dir entry").path().join("src/lib.rs");
+        if lib.exists() {
+            roots.push(lib);
+        }
+    }
+    assert!(roots.len() >= 9, "only {} crate roots found", roots.len());
+    for lib in roots {
+        let text = std::fs::read_to_string(&lib).expect("crate root readable");
+        assert!(
+            text.contains("#![forbid(unsafe_code)]"),
+            "{} does not forbid unsafe_code",
+            lib.display()
+        );
+    }
+}
