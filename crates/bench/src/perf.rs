@@ -112,3 +112,43 @@ pub fn mode_json(m: &ModeResult) -> Json {
 pub fn telemetry_is_live(m: &ModeResult) -> bool {
     m.report.slab_high_water > 0 && m.report.allocs_per_kilocycle > 0.0
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Runs one near-idle point in every mode the sweep compares and
+    /// checks that each runner applied the mode it was given: the full
+    /// sweep never skips and does the most work, skipping only happens
+    /// with `time_skip`, and all three agree on the results.
+    fn assert_runner_applies_the_step_mode(run: Runner) {
+        let [skip, tracked, full] = [
+            StepMode::active(true),
+            StepMode::active(false),
+            StepMode::full(),
+        ]
+        .map(|mode| run(0.001, 3_000, 500, mode));
+        assert!(skip.report.cycles_skipped > 0, "time skipping never fired");
+        assert_eq!(tracked.report.cycles_skipped, 0);
+        assert_eq!(full.report.cycles_skipped, 0);
+        assert!(
+            tracked.work_items < full.work_items,
+            "activity-driven stepping did the full sweep's work"
+        );
+        assert_eq!(skip.report, full.report);
+        assert_eq!(tracked.report, full.report);
+        for m in [&skip, &tracked, &full] {
+            assert!(m.report.cycles_per_sec > 0.0, "no wall-clock telemetry");
+        }
+    }
+
+    #[test]
+    fn patronoc_runner_applies_the_step_mode() {
+        assert_runner_applies_the_step_mode(run_patronoc);
+    }
+
+    #[test]
+    fn packet_runner_applies_the_step_mode() {
+        assert_runner_applies_the_step_mode(run_packet);
+    }
+}

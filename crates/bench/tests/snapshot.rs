@@ -74,89 +74,113 @@ fn straight_and_forked<E: Engine + ?Sized>(
     [(straight_report, straight), (forked_report, forked)]
 }
 
-/// The windowed matrix: both engines × {uniform, synthetic} × the three
-/// operating points, plus one run-to-drain DNN trace per engine.
-fn matrix() -> Vec<(String, Scenario)> {
-    let mut cells = Vec::new();
-    for (name, base) in [
-        ("patronoc", Scenario::patronoc()),
-        ("packet", Scenario::packet(PacketProfile::Compact)),
-    ] {
-        for &load in &LOADS {
-            cells.push((
-                format!("{name} uniform load {load}"),
-                base.clone()
-                    .traffic(TrafficSpec::uniform(load, 1_000))
-                    .warmup(WARMUP)
-                    .window(WINDOW)
-                    .seed(31),
-            ));
-            cells.push((
-                format!("{name} synthetic load {load}"),
-                base.clone()
-                    .traffic(TrafficSpec::Synthetic {
-                        pattern: SyntheticPattern::AllGlobal,
-                        load,
-                        max_transfer: 10_000,
-                        read_fraction: 0.5,
-                    })
-                    .warmup(WARMUP)
-                    .window(WINDOW)
-                    .seed(37),
-            ));
-        }
-    }
-    cells.push((
-        "patronoc dnn".into(),
-        Scenario::patronoc()
-            .data_width(512)
-            .traffic(TrafficSpec::dnn(DnnWorkload::PipelinedConv, 1))
-            .warmup(WARMUP)
-            .budget(50_000_000)
-            .seed(1),
-    ));
-    cells.push((
-        "packet dnn".into(),
-        Scenario::packet(PacketProfile::HighPerformance)
-            .traffic(TrafficSpec::dnn(DnnWorkload::PipelinedConv, 1))
-            .warmup(WARMUP)
-            .budget(300_000)
-            .seed(1),
-    ));
-    cells
+/// Runs `sc` straight and forked and asserts the two bit-identical.
+fn check(sc: &Scenario, what: &str) {
+    let max_cycles = sc.budget.unwrap_or(sc.warmup + sc.window);
+    let [(straight, _), (forked, _)] = straight_and_forked(
+        || {
+            let engine = sc.build_engine().expect("valid scenario");
+            (engine, sc.build_source())
+        },
+        max_cycles,
+        sc.warmup,
+    );
+    assert_bit_identical(&straight, &forked, what);
 }
 
-#[test]
-fn restored_runs_match_straight_runs_across_the_traffic_matrix() {
-    for (what, sc) in matrix() {
-        let max_cycles = sc.budget.unwrap_or(sc.warmup + sc.window);
-        let [(straight, _), (forked, _)] = straight_and_forked(
-            || {
-                let engine = sc.build_engine().expect("valid scenario");
-                (engine, sc.build_source())
-            },
-            max_cycles,
-            sc.warmup,
-        );
-        assert_bit_identical(&straight, &forked, &what);
+/// Checks one windowed traffic class at the three operating points.
+fn check_windowed(base: Scenario, what: &str, traffic: fn(f64) -> TrafficSpec, seed: u64) {
+    for &load in &LOADS {
+        let sc = base
+            .clone()
+            .traffic(traffic(load))
+            .warmup(WARMUP)
+            .window(WINDOW)
+            .seed(seed);
+        check(&sc, &format!("{what} load {load}"));
     }
 }
 
+fn uniform(load: f64) -> TrafficSpec {
+    TrafficSpec::uniform(load, 1_000)
+}
+
+fn synthetic(load: f64) -> TrafficSpec {
+    TrafficSpec::Synthetic {
+        pattern: SyntheticPattern::AllGlobal,
+        load,
+        max_transfer: 10_000,
+        read_fraction: 0.5,
+    }
+}
+
+/// One run-to-drain DNN trace on `base`, within `budget` cycles.
+fn dnn(base: Scenario, budget: u64) -> Scenario {
+    base.traffic(TrafficSpec::dnn(DnnWorkload::PipelinedConv, 1))
+        .warmup(WARMUP)
+        .budget(budget)
+        .seed(1)
+}
+
 #[test]
-fn restored_runs_match_straight_runs_in_every_stepping_mode() {
-    // The stepping strategy (activity-driven vs full sweep, with or
-    // without event-horizon time skipping) is excluded from the snapshot
-    // shape, and the deterministic scheduler work counter and the slab
-    // telemetry are part of the checkpoint: a restored run must match the
-    // straight run in all of them, not just in `SimReport::eq`. Uses the
-    // perf micro-sweep's points.
+fn patronoc_uniform_traffic_restores_bit_identically() {
+    check_windowed(Scenario::patronoc(), "patronoc uniform", uniform, 31);
+}
+
+#[test]
+fn patronoc_synthetic_traffic_restores_bit_identically() {
+    check_windowed(Scenario::patronoc(), "patronoc synthetic", synthetic, 37);
+}
+
+#[test]
+fn patronoc_dnn_trace_restores_bit_identically() {
+    check(
+        &dnn(Scenario::patronoc().data_width(512), 50_000_000),
+        "patronoc dnn",
+    );
+}
+
+#[test]
+fn packet_uniform_traffic_restores_bit_identically() {
+    let base = Scenario::packet(PacketProfile::Compact);
+    check_windowed(base, "packet uniform", uniform, 31);
+}
+
+#[test]
+fn packet_synthetic_traffic_restores_bit_identically() {
+    let base = Scenario::packet(PacketProfile::Compact);
+    check_windowed(base, "packet synthetic", synthetic, 37);
+}
+
+#[test]
+fn packet_dnn_trace_restores_bit_identically() {
+    check(
+        &dnn(Scenario::packet(PacketProfile::HighPerformance), 300_000),
+        "packet dnn",
+    );
+}
+
+/// The stepping modes the perf micro-sweep compares.
+fn modes() -> [StepMode; 3] {
+    [
+        StepMode::active(true),
+        StepMode::active(false),
+        StepMode::full(),
+    ]
+}
+
+// The stepping strategy (activity-driven vs full sweep, with or without
+// event-horizon time skipping) is excluded from the snapshot shape, and
+// the deterministic scheduler work counter and the slab telemetry are
+// part of the checkpoint: a restored run must match the straight run in
+// all of them, not just in `SimReport::eq`. Uses the perf micro-sweep's
+// points.
+
+#[test]
+fn restored_patronoc_runs_match_straight_runs_in_every_stepping_mode() {
     let max_cycles = WARMUP + WINDOW;
     for &load in &[0.001, 1.0] {
-        for mode in [
-            StepMode::active(true),
-            StepMode::active(false),
-            StepMode::full(),
-        ] {
+        for mode in modes() {
             let sc = patronoc_uniform_scenario(32, load, 1_000, WINDOW, WARMUP, PERF_SEED);
             let [(straight, a), (forked, b)] = straight_and_forked(
                 || {
@@ -171,7 +195,15 @@ fn restored_runs_match_straight_runs_in_every_stepping_mode() {
             );
             let what = format!("patronoc load {load} mode {mode:?}");
             assert_same_run(&straight, &forked, a.work_items(), b.work_items(), &what);
+        }
+    }
+}
 
+#[test]
+fn restored_packet_runs_match_straight_runs_in_every_stepping_mode() {
+    let max_cycles = WARMUP + WINDOW;
+    for &load in &[0.001, 1.0] {
+        for mode in modes() {
             let sc = noxim_uniform_scenario(
                 PacketProfile::Compact,
                 load,

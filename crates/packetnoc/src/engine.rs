@@ -1326,6 +1326,63 @@ mod tests {
         })
     }
 
+    /// Floods the compact mesh at full load, stops injecting until the
+    /// fabric drains, then issues one more round. Returns whether the
+    /// scheduler ran saturated during the flood and at the end of the
+    /// drain, plus the final packet count and state digest.
+    fn flood_drain_and_reuse(full_sweep: bool) -> ([bool; 2], u64, u64) {
+        let cfg = PacketNocConfig {
+            full_sweep,
+            ..PacketNocConfig::noxim_compact()
+        };
+        let mut sim = PacketNocSim::new(cfg);
+        let mut flood = uniform_at(1.0, 0x5EED);
+        let mut entered = false;
+        for _ in 0..5_000 {
+            sim.step(&mut flood);
+            entered |= sim.saturated;
+        }
+        let mut quiet = OneEach::new(16, 1);
+        quiet.issued.fill(true);
+        for _ in 0..200_000 {
+            if sim.is_drained() {
+                break;
+            }
+            sim.step(&mut quiet);
+        }
+        assert!(sim.is_drained(), "the flood never drained");
+        let still = sim.saturated;
+        let mut again = OneEach::new(16, 100);
+        for _ in 0..100_000 {
+            if again.is_done() && sim.is_drained() {
+                break;
+            }
+            sim.step(&mut again);
+        }
+        assert!(again.is_done(), "the round after the flood never completed");
+        (
+            [entered, still],
+            sim.packets_delivered(),
+            sim.state_digest(),
+        )
+    }
+
+    #[test]
+    fn a_flood_enters_the_saturated_regime_and_draining_leaves_it() {
+        assert_eq!(flood_drain_and_reuse(false).0, [true, false]);
+        assert_eq!(flood_drain_and_reuse(true).0, [false, false]);
+    }
+
+    #[test]
+    fn leaving_the_saturated_regime_is_bit_identical_to_full_sweep() {
+        // Leaving rebuilds the activity sets from scratch; a set that
+        // missed a live buffer would stall or reorder the next round.
+        let (_, full_packets, full_digest) = flood_drain_and_reuse(true);
+        let (_, active_packets, active_digest) = flood_drain_and_reuse(false);
+        assert_eq!(active_packets, full_packets);
+        assert_eq!(active_digest, full_digest);
+    }
+
     #[test]
     fn sim_can_keep_stepping_after_a_run() {
         // A run that stops on its budget with packets still in flight
@@ -1397,6 +1454,33 @@ mod tests {
 
         assert_eq!(straight, replay);
         assert_eq!(sim.state_digest(), forked.state_digest());
+    }
+
+    #[test]
+    fn a_snapshot_taken_while_saturated_restores_the_regime() {
+        // The regime flag is checkpointed: a restored engine that fell
+        // back to precise tracking would match the results but not the
+        // deterministic work counter.
+        let mut sim = PacketNocSim::new(PacketNocConfig::noxim_compact());
+        let mut src = uniform_at(1.0, 0x5EED);
+        for _ in 0..5_000 {
+            if sim.saturated {
+                break;
+            }
+            sim.step(&mut src);
+        }
+        assert!(sim.saturated, "full load never saturated");
+        let bytes = sim.snapshot();
+        let mut forked_src = src.clone();
+        let mut forked = PacketNocSim::new(PacketNocConfig::noxim_compact());
+        forked.restore(&bytes).expect("snapshot restores");
+        assert!(forked.saturated);
+        for _ in 0..2_000 {
+            sim.step(&mut src);
+            forked.step(&mut forked_src);
+        }
+        assert_eq!(forked.work_items(), sim.work_items());
+        assert_eq!(forked.state_digest(), sim.state_digest());
     }
 
     #[test]

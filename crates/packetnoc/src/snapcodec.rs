@@ -65,3 +65,95 @@ pub(crate) fn decode_transfer(d: &mut Decoder<'_>) -> Result<Transfer, SnapError
         kind,
     })
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use simkit::snap::DecodeLimits;
+
+    const KIND: u8 = 2;
+    const SHAPE: u64 = 0x5EED;
+
+    fn framed(write: impl FnOnce(&mut Encoder)) -> Vec<u8> {
+        let mut e = Encoder::new(KIND, SHAPE);
+        write(&mut e);
+        e.finish()
+    }
+
+    fn decode(bytes: &[u8]) -> Result<Transfer, SnapError> {
+        let mut d = Decoder::new(bytes, KIND, SHAPE, DecodeLimits::default())?;
+        let t = decode_transfer(&mut d)?;
+        d.finish()?;
+        Ok(t)
+    }
+
+    fn transfer(dst: usize, bytes: u64, kind: TransferKind) -> Transfer {
+        Transfer {
+            id: 42,
+            dst,
+            offset: 0x10_0000,
+            bytes,
+            kind,
+        }
+    }
+
+    #[test]
+    fn every_transfer_kind_round_trips() {
+        for kind in [
+            TransferKind::Read,
+            TransferKind::Write,
+            TransferKind::Copy {
+                src: 3,
+                src_offset: 0xFF_FFFF,
+            },
+        ] {
+            let t = transfer(5, 4_096, kind);
+            assert_eq!(decode(&framed(|e| encode_transfer(e, &t))), Ok(t));
+        }
+    }
+
+    #[test]
+    fn off_mesh_destinations_are_kept_not_rejected() {
+        // The decoder is mesh-agnostic on purpose (see `decode_transfer`).
+        let t = transfer(usize::MAX, 1, TransferKind::Write);
+        assert_eq!(decode(&framed(|e| encode_transfer(e, &t))), Ok(t));
+    }
+
+    #[test]
+    fn zero_length_transfers_are_rejected() {
+        let t = transfer(1, 0, TransferKind::Read);
+        assert_eq!(
+            decode(&framed(|e| encode_transfer(e, &t))),
+            Err(SnapError::Corrupt("zero-length transfer"))
+        );
+    }
+
+    #[test]
+    fn unknown_kind_bytes_are_rejected() {
+        let bytes = framed(|e| {
+            e.u64(1);
+            e.usize(0);
+            e.u64(0);
+            e.u64(64);
+            e.byte(3);
+        });
+        assert_eq!(
+            decode(&bytes),
+            Err(SnapError::Corrupt("unknown transfer kind"))
+        );
+    }
+
+    #[test]
+    fn a_copy_descriptor_cut_before_its_source_is_truncated() {
+        // The kind byte promises two more fields; the decoder must not
+        // invent them.
+        let bytes = framed(|e| {
+            e.u64(1);
+            e.usize(0);
+            e.u64(0);
+            e.u64(64);
+            e.byte(2);
+        });
+        assert_eq!(decode(&bytes), Err(SnapError::Truncated));
+    }
+}

@@ -1605,6 +1605,61 @@ mod tests {
         })
     }
 
+    /// Floods the slim 4×4 at full load, stops injecting until the fabric
+    /// drains, then issues one more round. Returns whether the scheduler
+    /// ran saturated during the flood and at the end of the drain, plus
+    /// the final transfer count and state digest.
+    fn flood_drain_and_reuse(full_sweep: bool) -> ([bool; 2], u64, u64) {
+        let mut cfg = NocConfig::slim_4x4();
+        cfg.full_sweep = full_sweep;
+        let mut sim = NocSim::new(cfg).unwrap();
+        let mut flood = uniform_at(1.0, 0x5EED);
+        let mut entered = false;
+        for _ in 0..5_000 {
+            sim.step(&mut flood);
+            entered |= sim.sched.saturated;
+        }
+        let mut quiet = OneEach::new(16, 1, TransferKind::Write, |m| m);
+        quiet.issued.fill(true);
+        for _ in 0..100_000 {
+            if sim.is_drained() {
+                break;
+            }
+            sim.step(&mut quiet);
+        }
+        assert!(sim.is_drained(), "the flood never drained");
+        let still = sim.sched.saturated;
+        let mut again = OneEach::new(16, 512, TransferKind::Read, |m| (m + 3) % 16);
+        for _ in 0..100_000 {
+            if again.is_done() && sim.is_drained() {
+                break;
+            }
+            sim.step(&mut again);
+        }
+        assert!(again.is_done(), "the round after the flood never completed");
+        (
+            [entered, still],
+            sim.transfers_completed(),
+            sim.state_digest(),
+        )
+    }
+
+    #[test]
+    fn a_flood_enters_the_saturated_regime_and_draining_leaves_it() {
+        assert_eq!(flood_drain_and_reuse(false).0, [true, false]);
+        assert_eq!(flood_drain_and_reuse(true).0, [false, false]);
+    }
+
+    #[test]
+    fn leaving_the_saturated_regime_is_bit_identical_to_full_sweep() {
+        // Leaving rebuilds the activity sets from scratch; a set that
+        // missed a live component would stall or reorder the next round.
+        let (_, full_done, full_digest) = flood_drain_and_reuse(true);
+        let (_, active_done, active_digest) = flood_drain_and_reuse(false);
+        assert_eq!(active_done, full_done);
+        assert_eq!(active_digest, full_digest);
+    }
+
     #[test]
     fn sim_can_keep_stepping_after_a_run() {
         // `run` leaves the scheduler in whatever regime the run ended in;
@@ -1679,6 +1734,33 @@ mod tests {
         let fork = forked.run(&mut forked_src, 2_000, 0);
         assert_eq!(straight, fork);
         assert_eq!(sim.state_digest(), forked.state_digest());
+    }
+
+    #[test]
+    fn a_snapshot_taken_while_saturated_restores_the_regime() {
+        // The regime flag is checkpointed: a restored engine that fell
+        // back to precise tracking would match the results but not the
+        // deterministic work counter.
+        let mut sim = NocSim::new(NocConfig::slim_4x4()).unwrap();
+        let mut src = uniform_at(1.0, 0x5EED);
+        for _ in 0..5_000 {
+            if sim.sched.saturated {
+                break;
+            }
+            sim.step(&mut src);
+        }
+        assert!(sim.sched.saturated, "full load never saturated");
+        let bytes = sim.snapshot();
+        let mut forked_src = src.clone();
+        let mut forked = NocSim::new(NocConfig::slim_4x4()).unwrap();
+        forked.restore(&bytes).expect("snapshot restores");
+        assert!(forked.sched.saturated);
+        for _ in 0..2_000 {
+            sim.step(&mut src);
+            forked.step(&mut forked_src);
+        }
+        assert_eq!(forked.work_items(), sim.work_items());
+        assert_eq!(forked.state_digest(), sim.state_digest());
     }
 
     #[test]

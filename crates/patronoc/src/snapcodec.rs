@@ -154,3 +154,179 @@ pub(crate) fn decode_remapper(
     }
     IdRemapper::from_parts(slots, free).map_err(corrupt)
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use simkit::snap::DecodeLimits;
+
+    const KIND: u8 = 1;
+    const SHAPE: u64 = 0x5EED;
+
+    /// Frames whatever `write` encodes and hands a reader over it to `read`.
+    fn round_trip<T>(
+        write: impl FnOnce(&mut Encoder),
+        read: impl FnOnce(&mut Decoder<'_>) -> Result<T, SnapError>,
+    ) -> Result<T, SnapError> {
+        let mut e = Encoder::new(KIND, SHAPE);
+        write(&mut e);
+        let bytes = e.finish();
+        let mut d = Decoder::new(&bytes, KIND, SHAPE, DecodeLimits::default())?;
+        let value = read(&mut d)?;
+        d.finish()?;
+        Ok(value)
+    }
+
+    fn req(dst: usize, src: usize, beats: u16) -> ReqBeat {
+        ReqBeat {
+            id: AxiId(7),
+            dst,
+            src,
+            beats,
+            bytes: 256,
+            txn: 1 << 40,
+            issued_at: 123_456,
+        }
+    }
+
+    fn key(port: u8, id: u16) -> SourceKey {
+        SourceKey {
+            port,
+            id: AxiId(id),
+        }
+    }
+
+    #[test]
+    fn beats_round_trip_field_for_field() {
+        let r = req(15, 0, 4);
+        assert_eq!(
+            round_trip(|e| encode_req(e, &r), |d| decode_req(d, 16)),
+            Ok(r)
+        );
+        let w = DataBeat {
+            bytes: 64,
+            last: true,
+            txn: 9,
+        };
+        assert_eq!(round_trip(|e| encode_data(e, &w), decode_data), Ok(w));
+        let b = RespBeat {
+            id: AxiId(u16::MAX),
+            bytes: 0,
+            last: true,
+            txn: u64::MAX,
+        };
+        assert_eq!(round_trip(|e| encode_resp(e, &b), decode_resp), Ok(b));
+    }
+
+    #[test]
+    fn request_beats_off_the_mesh_or_without_data_are_rejected() {
+        for (beat, why) in [
+            (req(16, 0, 4), "request beat endpoint out of range"),
+            (req(0, 16, 4), "request beat endpoint out of range"),
+            (req(3, 2, 0), "request beat with zero data beats"),
+        ] {
+            assert_eq!(
+                round_trip(|e| encode_req(e, &beat), |d| decode_req(d, 16)),
+                Err(SnapError::Corrupt(why)),
+                "{beat:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_request_beat_cut_short_is_truncated_not_padded() {
+        let r = req(1, 2, 4);
+        let write = |e: &mut Encoder| {
+            e.u16(r.id.0);
+            e.usize(r.dst);
+            e.usize(r.src);
+            e.u16(r.beats);
+            e.u32(r.bytes);
+            e.u64(r.txn);
+        };
+        assert_eq!(
+            round_trip(write, |d| decode_req(d, 16)),
+            Err(SnapError::Truncated)
+        );
+    }
+
+    #[test]
+    fn ordering_guard_round_trips_with_its_inflight_count() {
+        let mut g = OrderingGuard::new();
+        g.issue(AxiId(3), 5);
+        g.issue(AxiId(3), 5);
+        g.issue(AxiId(0), 1);
+        let back = round_trip(|e| encode_guard(e, &g), decode_guard).unwrap();
+        assert_eq!(back.entries(), g.entries());
+        assert_eq!(guard_inflight(&back), 3);
+        assert_eq!(guard_inflight(&OrderingGuard::new()), 0);
+    }
+
+    #[test]
+    fn ordering_guard_with_a_zero_count_or_duplicate_id_is_rejected() {
+        for entries in [
+            vec![(AxiId(1), 2, 0u32)],
+            vec![(AxiId(1), 2, 1), (AxiId(1), 3, 1)],
+        ] {
+            let write = |e: &mut Encoder| {
+                e.usize(entries.len());
+                for &(id, dst, count) in &entries {
+                    e.u16(id.0);
+                    e.usize(dst);
+                    e.u32(count);
+                }
+            };
+            assert!(
+                matches!(round_trip(write, decode_guard), Err(SnapError::Corrupt(_))),
+                "{entries:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn remapper_round_trip_keeps_the_free_list_order() {
+        // The free list's LIFO order decides which downstream ID the next
+        // new source gets, so it must survive a checkpoint verbatim.
+        let mut r = IdRemapper::new(2);
+        let a = r.acquire(key(0, 1)).unwrap();
+        let b = r.acquire(key(4, 1)).unwrap();
+        r.acquire(key(4, 1)).unwrap();
+        r.release(a);
+        let mut back = round_trip(|e| encode_remapper(e, &r), |d| decode_remapper(d, 4)).unwrap();
+        assert_eq!(back.export(), r.export());
+        assert_eq!(back.source_of(b), Some(key(4, 1)));
+        assert_eq!(back.acquire(key(2, 9)), r.acquire(key(2, 9)));
+    }
+
+    #[test]
+    fn remapper_with_the_wrong_capacity_or_a_bad_port_is_rejected() {
+        let r = IdRemapper::new(2);
+        assert_eq!(
+            round_trip(|e| encode_remapper(e, &r), |d| decode_remapper(d, 8)).unwrap_err(),
+            SnapError::Corrupt("remapper capacity mismatch")
+        );
+        let mut bad = IdRemapper::new(1);
+        bad.acquire(key(0, 0)).unwrap();
+        // Encode it as `encode_remapper` does, with the live slot's port
+        // pushed past the last port.
+        let (slots, free) = bad.export();
+        let write = |e: &mut Encoder| {
+            e.usize(slots.len());
+            for slot in &slots {
+                e.option(slot.as_ref(), |e, (k, inflight)| {
+                    e.byte(PORTS as u8);
+                    e.u16(k.id.0);
+                    e.u32(*inflight);
+                });
+            }
+            e.usize(free.len());
+            for &idx in &free {
+                e.u16(idx);
+            }
+        };
+        assert_eq!(
+            round_trip(write, |d| decode_remapper(d, 2)).unwrap_err(),
+            SnapError::Corrupt("remapper source port out of range")
+        );
+    }
+}

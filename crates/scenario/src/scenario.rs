@@ -392,13 +392,15 @@ impl Scenario {
     ///
     /// [`ScenarioError::Config`] for invalid parameters;
     /// [`ScenarioError::PacketNeedsMesh`] for a packet scenario on a
-    /// non-mesh topology.
+    /// non-mesh topology or a mesh narrower than two columns.
     pub fn build_engine(&self) -> Result<Box<dyn Engine>, ScenarioError> {
         match self.engine {
             EngineSpec::Patronoc => Ok(Box::new(self.build_noc_sim()?)),
             EngineSpec::Packet(profile) => {
+                // `PacketNocConfig::assert_valid` panics below 2 columns.
                 let (cols, rows) = self
                     .mesh_dims()
+                    .filter(|&(cols, rows)| cols >= 2 && rows >= 1)
                     .ok_or(ScenarioError::PacketNeedsMesh(self.topology))?;
                 if let TrafficSpec::Synthetic { pattern, .. } = self.traffic {
                     self.synthetic_mesh(pattern)?;
@@ -872,6 +874,25 @@ mod tests {
             .run()
             .unwrap_err();
         assert!(matches!(err, ScenarioError::PacketNeedsMesh(_)));
+    }
+
+    #[test]
+    fn packet_scenarios_on_degenerate_meshes_are_an_error_not_a_panic() {
+        for (cols, rows) in [(0, 4), (1, 4), (4, 0)] {
+            let topology = Topology::Mesh { cols, rows };
+            let err = Scenario::packet(PacketProfile::Compact)
+                .topology(topology)
+                .window(1_000)
+                .run()
+                .unwrap_err();
+            assert_eq!(err, ScenarioError::PacketNeedsMesh(topology));
+        }
+        // The narrowest mesh the baseline models still runs.
+        Scenario::packet(PacketProfile::Compact)
+            .topology(Topology::Mesh { cols: 2, rows: 1 })
+            .window(500)
+            .run()
+            .unwrap();
     }
 
     #[test]

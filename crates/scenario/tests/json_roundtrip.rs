@@ -289,72 +289,90 @@ fn synthetic(load: f64, max_transfer: u64, read_fraction: f64) -> Json {
     )
 }
 
-#[test]
-fn out_of_range_traffic_values_are_parse_errors_not_panics() {
-    // Each document used to parse, and then either panicked in the
-    // traffic generator once the scenario ran (zero load, zero-byte
-    // transfers, zero DNN steps, transfers larger than a region) or
-    // silently clamped a probability (`read_fraction` 7).
-    let region = 1u64 << 24;
-    let cases = [
-        (uniform(0.0, 1_000, 0.5), "key `load`"),
-        (uniform(-0.5, 1_000, 0.5), "key `load`"),
-        (uniform(1.5, 1_000, 0.5), "key `load`"),
-        (uniform(f64::NAN, 1_000, 0.5), "key `load`"),
-        (uniform(f64::INFINITY, 1_000, 0.5), "key `load`"),
-        (uniform(0.5, 0, 0.5), "key `max_transfer`"),
-        (uniform(0.5, region + 1, 0.5), "key `max_transfer`"),
-        (uniform(0.5, 1_000, 7.0), "key `read_fraction`"),
-        (uniform(0.5, 1_000, -0.1), "key `read_fraction`"),
-        (uniform(0.5, 1_000, f64::NAN), "key `read_fraction`"),
-        (synthetic(0.0, 1_000, 0.5), "key `load`"),
-        (synthetic(0.5, 0, 0.5), "key `max_transfer`"),
-        (synthetic(0.5, region + 1, 0.5), "key `max_transfer`"),
-        (synthetic(0.5, 1_000, 7.0), "key `read_fraction`"),
-        (
-            traffic_obj(
-                "dnn",
-                vec![
-                    ("workload", Json::str("Pipe Conv")),
-                    ("steps", Json::U64(0)),
-                ],
-            ),
-            "key `steps`",
-        ),
-    ];
-    for (traffic, key) in cases {
-        let doc = with_key("traffic", traffic.clone());
-        let outcome = std::panic::catch_unwind(|| Scenario::from_json(&doc));
-        match outcome {
-            Ok(Err(ScenarioError::Parse(msg))) => assert!(msg.contains(key), "{traffic}: {msg}"),
-            Ok(other) => panic!("{traffic}: expected a parse error, got {other:?}"),
-            Err(_) => panic!("{traffic}: parsing panicked"),
-        }
+/// Parses `traffic` inside an otherwise valid document and asserts a
+/// parse error naming `key` — not a panic, and not a silent clamp.
+fn assert_traffic_rejected(traffic: &Json, key: &str) {
+    let doc = with_key("traffic", traffic.clone());
+    let outcome = std::panic::catch_unwind(|| Scenario::from_json(&doc));
+    match outcome {
+        Ok(Err(ScenarioError::Parse(msg))) => assert!(msg.contains(key), "{traffic}: {msg}"),
+        Ok(other) => panic!("{traffic}: expected a parse error, got {other:?}"),
+        Err(_) => panic!("{traffic}: parsing panicked"),
     }
 }
 
+/// Parses `traffic` and runs the scenario for a short window.
+fn assert_traffic_runs(traffic: &Json) {
+    let mut sc = Scenario::from_json(&with_key("traffic", traffic.clone()))
+        .unwrap_or_else(|e| panic!("{traffic}: {e}"));
+    sc.window = 200;
+    sc.run().unwrap_or_else(|e| panic!("{traffic}: {e}"));
+}
+
+const REGION: u64 = 1 << 24;
+
+fn dnn_steps(steps: u64) -> Json {
+    traffic_obj(
+        "dnn",
+        vec![
+            ("workload", Json::str("Pipe Conv")),
+            ("steps", Json::U64(steps)),
+        ],
+    )
+}
+
+// Each document below used to parse, and then either panicked in the
+// traffic generator once the scenario ran (zero load, zero-byte
+// transfers, zero DNN steps, transfers larger than a region) or silently
+// clamped a probability (`read_fraction` 7).
+macro_rules! rejected {
+    ($($name:ident: $traffic:expr => $key:literal;)*) => {$(
+        #[test]
+        fn $name() {
+            assert_traffic_rejected(&$traffic, $key);
+        }
+    )*};
+}
+
+rejected! {
+    uniform_zero_load_is_a_parse_error: uniform(0.0, 1_000, 0.5) => "key `load`";
+    uniform_negative_load_is_a_parse_error: uniform(-0.5, 1_000, 0.5) => "key `load`";
+    uniform_load_above_one_is_a_parse_error: uniform(1.5, 1_000, 0.5) => "key `load`";
+    uniform_nan_load_is_a_parse_error: uniform(f64::NAN, 1_000, 0.5) => "key `load`";
+    uniform_infinite_load_is_a_parse_error: uniform(f64::INFINITY, 1_000, 0.5) => "key `load`";
+    uniform_zero_byte_transfers_are_a_parse_error: uniform(0.5, 0, 0.5) => "key `max_transfer`";
+    uniform_transfers_larger_than_a_region_are_a_parse_error:
+        uniform(0.5, REGION + 1, 0.5) => "key `max_transfer`";
+    uniform_read_fraction_above_one_is_a_parse_error: uniform(0.5, 1_000, 7.0) => "key `read_fraction`";
+    uniform_negative_read_fraction_is_a_parse_error: uniform(0.5, 1_000, -0.1) => "key `read_fraction`";
+    uniform_nan_read_fraction_is_a_parse_error: uniform(0.5, 1_000, f64::NAN) => "key `read_fraction`";
+    synthetic_zero_load_is_a_parse_error: synthetic(0.0, 1_000, 0.5) => "key `load`";
+    synthetic_zero_byte_transfers_are_a_parse_error: synthetic(0.5, 0, 0.5) => "key `max_transfer`";
+    synthetic_transfers_larger_than_a_region_are_a_parse_error:
+        synthetic(0.5, REGION + 1, 0.5) => "key `max_transfer`";
+    synthetic_read_fraction_above_one_is_a_parse_error: synthetic(0.5, 1_000, 7.0) => "key `read_fraction`";
+    dnn_zero_steps_is_a_parse_error: dnn_steps(0) => "key `steps`";
+}
+
+// The closed ends of the ranges stay valid.
 #[test]
-fn boundary_traffic_values_still_parse_and_run() {
-    // The closed ends of the ranges stay valid: full load, all-write and
-    // all-read mixes, one-byte and region-sized transfers, one DNN step.
-    let region = 1u64 << 24;
-    for traffic in [
-        uniform(1.0, 1, 0.0),
-        uniform(1.0, region, 1.0),
-        synthetic(1.0, 1, 1.0),
-        traffic_obj(
-            "dnn",
-            vec![
-                ("workload", Json::str("Pipe Conv")),
-                ("steps", Json::U64(1)),
-            ],
-        ),
-    ] {
-        let mut sc = Scenario::from_json(&with_key("traffic", traffic.clone()))
-            .unwrap_or_else(|e| panic!("{traffic}: {e}"));
-        sc.window = 200;
-        sc.run().unwrap_or_else(|e| panic!("{traffic}: {e}"));
-    }
+fn full_load_one_byte_all_write_uniform_traffic_runs() {
+    assert_traffic_runs(&uniform(1.0, 1, 0.0));
+}
+
+#[test]
+fn full_load_region_sized_all_read_uniform_traffic_runs() {
+    assert_traffic_runs(&uniform(1.0, REGION, 1.0));
+}
+
+#[test]
+fn full_load_one_byte_all_read_synthetic_traffic_runs() {
+    assert_traffic_runs(&synthetic(1.0, 1, 1.0));
+}
+
+#[test]
+fn a_one_step_dnn_trace_runs() {
+    assert_traffic_runs(&dnn_steps(1));
 }
 
 proptest! {

@@ -42,3 +42,9 @@ pub fn environment() {
     let _ = env::vars_os(); // lint: env-vars-os
     let _ok = env!("CARGO_PKG_NAME"); // lint: ok-env-macro
 }
+
+pub fn deliberate_exception() {
+    #[expect(clippy::disallowed_methods, clippy::disallowed_types, reason = "fixture")] // lint: expect-wall-clock
+    let _start = time::Instant::now(); // lint: ok-expected-instant-now
+    let _end = time::Instant::now(); // lint: instant-now-after-expect
+}

@@ -1,14 +1,17 @@
 //! The determinism bans, pinned: clippy runs on `tests/lint_fixture` once
 //! per `clippy.toml` scope and must flag exactly the fixture lines that
 //! scope bans. Dropping or narrowing any ban entry, or letting a ban leak
-//! into a scope that must not have it, fails here.
+//! into a scope that must not have it, fails here; so does a ban entry no
+//! fixture line exercises, and a deliberate exception written as an
+//! `#[allow]` (which, unlike `#[expect]`, never reports going stale).
 //!
-//! Each run lints only the one-file fixture (about 0.2 s) into its own
-//! target directory under `target/tmp`.
+//! Each scope lints only the one-file fixture (about 0.2 s), once per test
+//! binary, into its own target directory under `target/tmp`.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::process::Command;
+use std::sync::OnceLock;
 
 /// One clippy hit: the fixture line's tag and what clippy names, e.g.
 /// `("env-var", "method `std::env::var`")`.
@@ -26,6 +29,11 @@ const CLOCK: &[(&str, &str)] = &[
     ("instant-now", "method `std::time::Instant::now`"),
     ("system-time-now", "type `std::time::SystemTime`"),
     ("system-time-now", "method `std::time::SystemTime::now`"),
+    ("instant-now-after-expect", "type `std::time::Instant`"),
+    (
+        "instant-now-after-expect",
+        "method `std::time::Instant::now`",
+    ),
 ];
 
 /// Every `std::env` function; the fixture tags its call `env-<name>`
@@ -48,6 +56,122 @@ const ENV: &[&str] = &[
     "vars_os",
 ];
 
+/// Fixture lines no scope may flag: lookalikes of banned items, and the
+/// wall-clock read under a matching `#[expect]`.
+const CLEAN: &[&str] = &[
+    "ok-btree-map",
+    "ok-duration",
+    "ok-env-macro",
+    "ok-expected-instant-now",
+];
+
+/// The `#[expect]` line: unfulfilled wherever the clock is not banned.
+const EXPECT: &str = "expect-wall-clock";
+
+/// A directory whose `clippy.toml` defines one set of bans.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Scope {
+    /// `crates/clippy.toml`: the simulation crates.
+    Crates,
+    /// `crates/bench/clippy.toml`: the bench harness.
+    Bench,
+    /// The root `clippy.toml`: root package, examples, tests, reprobench.
+    Root,
+    /// `third_party/clippy.toml`: the vendored stand-ins.
+    ThirdParty,
+}
+
+use Scope::{Bench, Crates, Root, ThirdParty};
+
+const SCOPES: [Scope; 4] = [Crates, Bench, Root, ThirdParty];
+
+/// What clippy reported for the fixture under one scope.
+#[derive(Debug)]
+struct Lint {
+    /// Disallowed-type/method hits.
+    banned: BTreeSet<Hit>,
+    /// Tags of lines carrying an unfulfilled lint expectation.
+    unfulfilled: BTreeSet<String>,
+}
+
+impl Scope {
+    fn dir(self) -> &'static str {
+        match self {
+            Crates => "crates",
+            Bench => "crates/bench",
+            Root => ".",
+            ThirdParty => "third_party",
+        }
+    }
+
+    fn target_name(self) -> &'static str {
+        match self {
+            Crates => "crates",
+            Bench => "bench",
+            Root => "root",
+            ThirdParty => "third_party",
+        }
+    }
+
+    /// The ban groups this scope's `clippy.toml` must hold, and whether it
+    /// bans every `std::env` function.
+    fn bans(self) -> (&'static [&'static [(&'static str, &'static str)]], bool) {
+        match self {
+            Crates => (&[HASH, RANDOM, CLOCK], true),
+            Bench => (&[HASH, CLOCK], false),
+            Root => (&[CLOCK], false),
+            ThirdParty => (&[], false),
+        }
+    }
+
+    /// The hits this scope must report, checked to name tags the fixture
+    /// has.
+    fn expected(self) -> BTreeSet<Hit> {
+        let (groups, env) = self.bans();
+        let mut hits: BTreeSet<Hit> = groups
+            .iter()
+            .flat_map(|g| g.iter())
+            .map(|&(tag, what)| (tag.to_owned(), what.to_owned()))
+            .collect();
+        if env {
+            hits.extend(ENV.iter().map(|name| {
+                (
+                    format!("env-{}", name.replace('_', "-")),
+                    format!("method `std::env::{name}`"),
+                )
+            }));
+        }
+        let tags: BTreeSet<String> = fixture_tags().into_values().collect();
+        let fixed = CLEAN.iter().copied().chain([EXPECT]);
+        for tag in hits.iter().map(|(tag, _)| tag.as_str()).chain(fixed) {
+            assert!(
+                tags.contains(tag),
+                "the fixture has no `// lint: {tag}` line"
+            );
+        }
+        hits
+    }
+
+    /// Clippy's report for this scope, produced once per test binary.
+    fn lint(self) -> &'static Lint {
+        static RUNS: [OnceLock<Lint>; 4] = [
+            OnceLock::new(),
+            OnceLock::new(),
+            OnceLock::new(),
+            OnceLock::new(),
+        ];
+        RUNS[self as usize].get_or_init(|| run_clippy(self))
+    }
+
+    /// The paths this scope's `clippy.toml` bans.
+    fn banned_paths(self) -> BTreeSet<String> {
+        ban_entries(self)
+            .into_iter()
+            .map(|entry| field(&entry, "path").expect("every ban entry has a path"))
+            .collect()
+    }
+}
+
 fn repo() -> &'static Path {
     Path::new(env!("CARGO_MANIFEST_DIR"))
 }
@@ -65,38 +189,9 @@ fn fixture_tags() -> BTreeMap<usize, String> {
         .collect()
 }
 
-/// The hits `groups` (plus every `std::env` function when `env`) expect,
-/// checked to name tags the fixture has; so are the lookalikes, which no
-/// scope may flag.
-fn expected(groups: &[&[(&str, &str)]], env: bool) -> BTreeSet<Hit> {
-    let mut hits: BTreeSet<Hit> = groups
-        .iter()
-        .flat_map(|g| g.iter())
-        .map(|&(tag, what)| (tag.to_owned(), what.to_owned()))
-        .collect();
-    if env {
-        hits.extend(ENV.iter().map(|name| {
-            (
-                format!("env-{}", name.replace('_', "-")),
-                format!("method `std::env::{name}`"),
-            )
-        }));
-    }
-    let tags: BTreeSet<String> = fixture_tags().into_values().collect();
-    let lookalikes = ["ok-btree-map", "ok-duration", "ok-env-macro"];
-    for tag in hits.iter().map(|(tag, _)| tag.as_str()).chain(lookalikes) {
-        assert!(
-            tags.contains(tag),
-            "the fixture has no `// lint: {tag}` line"
-        );
-    }
-    hits
-}
-
-/// Runs clippy on the fixture with `conf_dir`'s `clippy.toml` and returns
-/// its disallowed-type/method hits.
-fn lint(conf_dir: &str, target_name: &str) -> BTreeSet<Hit> {
-    let conf = repo().join(conf_dir);
+/// Runs clippy on the fixture with `scope`'s `clippy.toml`.
+fn run_clippy(scope: Scope) -> Lint {
+    let conf = repo().join(scope.dir());
     assert!(
         conf.join("clippy.toml").is_file(),
         "{} has no clippy.toml",
@@ -104,7 +199,7 @@ fn lint(conf_dir: &str, target_name: &str) -> BTreeSet<Hit> {
     );
     let target = Path::new(env!("CARGO_TARGET_TMPDIR"))
         .join("lint_fixture")
-        .join(target_name);
+        .join(scope.target_name());
     let out = Command::new(env!("CARGO"))
         .args(["clippy", "--offline", "--quiet", "--message-format=short"])
         .arg("--manifest-path")
@@ -116,42 +211,279 @@ fn lint(conf_dir: &str, target_name: &str) -> BTreeSet<Hit> {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(out.status.success(), "cargo clippy failed:\n{stderr}");
     let tags = fixture_tags();
-    stderr
-        .lines()
+    let mut lint = Lint {
+        banned: BTreeSet::new(),
+        unfulfilled: BTreeSet::new(),
+    };
+    for line in stderr.lines() {
+        let Some((_, rest)) = line.split_once("src/lib.rs:") else {
+            continue;
+        };
+        let Some(line_no) = rest.split(':').next().and_then(|n| n.parse().ok()) else {
+            continue;
+        };
+        let tag = || {
+            tags.get(&line_no)
+                .unwrap_or_else(|| panic!("clippy flagged untagged fixture line {line_no}: {line}"))
+                .clone()
+        };
+        if let Some((_, what)) = rest.split_once("use of a disallowed ") {
+            lint.banned.insert((tag(), what.to_owned()));
+        } else if rest.contains("this lint expectation is unfulfilled") {
+            lint.unfulfilled.insert(tag());
+        }
+    }
+    lint
+}
+
+/// The `{ path = …, reason = … }` entries of `scope`'s `clippy.toml`, one
+/// string each.
+fn ban_entries(scope: Scope) -> Vec<String> {
+    let path: PathBuf = repo().join(scope.dir()).join("clippy.toml");
+    let text = std::fs::read_to_string(&path).expect("clippy.toml readable");
+    text.lines()
+        .map(str::trim)
+        .filter(|line| !line.starts_with('#'))
         .filter_map(|line| {
-            let (_, rest) = line.split_once("src/lib.rs:")?;
-            let (_, what) = rest.split_once("use of a disallowed ")?;
-            let line_no: usize = rest.split(':').next()?.parse().ok()?;
-            let tag = tags.get(&line_no).unwrap_or_else(|| {
-                panic!("clippy flagged untagged fixture line {line_no}: {line}")
-            });
-            Some((tag.clone(), what.to_owned()))
+            let start = line.find('{')?;
+            let end = line.rfind('}')?;
+            Some(line[start + 1..end].to_owned())
         })
         .collect()
 }
 
+/// The quoted value of `key` in one inline-table entry.
+fn field(entry: &str, key: &str) -> Option<String> {
+    let (_, rest) = entry.split_once(&format!("{key} = \""))?;
+    let (value, _) = rest.split_once('"')?;
+    Some(value.to_owned())
+}
+
+/// Whether `scope` flags the fixture line tagged `tag` (for any reason).
+fn flags(scope: Scope, tag: &str) -> bool {
+    scope.lint().banned.iter().any(|(t, _)| t == tag)
+}
+
+/// Asserts which scopes flag each of `tags`: those in `flagged`, no other.
+fn assert_flagged_only_in(tags: &[&str], flagged: &[Scope]) {
+    for scope in SCOPES {
+        for &tag in tags {
+            assert_eq!(
+                flags(scope, tag),
+                flagged.contains(&scope),
+                "{scope:?} on `{tag}`"
+            );
+        }
+    }
+}
+
 #[test]
 fn simulation_crates_ban_hashing_os_randomness_the_clock_and_the_environment() {
-    assert_eq!(
-        lint("crates", "crates"),
-        expected(&[HASH, RANDOM, CLOCK], true)
-    );
+    assert_eq!(Crates.lint().banned, Crates.expected());
 }
 
 #[test]
 fn bench_bans_hash_collections_and_the_clock_but_reads_the_environment() {
-    assert_eq!(
-        lint("crates/bench", "bench"),
-        expected(&[HASH, CLOCK], false)
-    );
+    assert_eq!(Bench.lint().banned, Bench.expected());
 }
 
 #[test]
 fn the_root_package_and_reprobench_ban_the_clock() {
-    assert_eq!(lint(".", "root"), expected(&[CLOCK], false));
+    assert_eq!(Root.lint().banned, Root.expected());
 }
 
 #[test]
 fn vendored_stand_ins_ban_nothing() {
-    assert_eq!(lint("third_party", "third_party"), BTreeSet::new());
+    assert_eq!(ThirdParty.lint().banned, ThirdParty.expected());
+}
+
+#[test]
+fn hash_map_and_set_are_flagged_in_scope() {
+    assert_flagged_only_in(&["hash-map", "hash-set"], &[Crates, Bench]);
+}
+
+#[test]
+fn hash_collection_out_of_scope_crate_is_clean() {
+    for scope in [Root, ThirdParty] {
+        assert!(!flags(scope, "hash-map") && !flags(scope, "hash-set"));
+    }
+}
+
+#[test]
+fn btree_collections_are_clean() {
+    assert_flagged_only_in(&["ok-btree-map"], &[]);
+}
+
+#[test]
+fn instant_and_system_time_are_flagged() {
+    // Both the type and its `now` constructor, so neither a stored
+    // `Instant` nor a discarded `now()` slips through.
+    for scope in [Crates, Bench, Root] {
+        for (tag, what) in CLOCK {
+            let hit = ((*tag).to_owned(), (*what).to_owned());
+            assert!(scope.lint().banned.contains(&hit), "{scope:?}: {hit:?}");
+        }
+    }
+    assert_flagged_only_in(&["instant-now", "system-time-now"], &[Crates, Bench, Root]);
+    assert_flagged_only_in(&["ok-duration"], &[]);
+}
+
+#[test]
+fn env_path_reads_are_flagged_but_env_macro_is_not() {
+    let env_tags: Vec<String> = ENV
+        .iter()
+        .map(|name| format!("env-{}", name.replace('_', "-")))
+        .collect();
+    let env_tags: Vec<&str> = env_tags.iter().map(String::as_str).collect();
+    assert_flagged_only_in(&env_tags, &[Crates]);
+    // `env!` is resolved at compile time: it reads the build, not the run.
+    assert_flagged_only_in(&["ok-env-macro"], &[]);
+}
+
+#[test]
+fn os_seeded_randomness_is_flagged() {
+    assert_flagged_only_in(&["random-state"], &[Crates]);
+}
+
+#[test]
+fn wall_clock_expect_suppresses_matching_line_only() {
+    // The deliberate exception is the one line under the `#[expect]`; the
+    // same call on the next line is still banned.
+    assert_flagged_only_in(&["ok-expected-instant-now"], &[]);
+    assert_flagged_only_in(&["instant-now-after-expect"], &[Crates, Bench, Root]);
+}
+
+#[test]
+fn an_expect_that_matches_nothing_is_reported() {
+    // Where the clock is not banned the `#[expect]` has nothing to
+    // suppress, and clippy says so (an error under `-D warnings`): an
+    // exception cannot outlive the ban it was written for.
+    for scope in SCOPES {
+        let stale: BTreeSet<String> = if scope == ThirdParty {
+            BTreeSet::from([EXPECT.to_owned()])
+        } else {
+            BTreeSet::new()
+        };
+        assert_eq!(scope.lint().unfulfilled, stale, "{scope:?}");
+    }
+}
+
+#[test]
+fn every_ban_entry_is_exercised_by_the_fixture() {
+    // The other direction of the exact-set tests above: an entry no
+    // fixture line uses could be deleted without any test noticing.
+    for scope in SCOPES {
+        let pinned: BTreeSet<String> = scope
+            .expected()
+            .into_iter()
+            .map(|(_, what)| {
+                let quoted = what.split('`').nth(1).expect("clippy quotes the path");
+                quoted.to_owned()
+            })
+            .collect();
+        assert_eq!(scope.banned_paths(), pinned, "{scope:?}");
+    }
+}
+
+#[test]
+fn every_ban_entry_gives_a_reason() {
+    // Clippy prints the reason with each hit; it is the only guidance a
+    // contributor who trips a ban gets.
+    for scope in SCOPES {
+        for entry in ban_entries(scope) {
+            let reason = field(&entry, "reason").unwrap_or_default();
+            assert!(!reason.trim().is_empty(), "{scope:?}: `{entry}`");
+        }
+    }
+}
+
+/// Every `.rs` file under `dir`, recursively.
+fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    for entry in std::fs::read_dir(dir).expect("source directory readable") {
+        let path = entry.expect("directory entry").path();
+        if path.is_dir() {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+#[test]
+fn ban_exceptions_are_reasoned_expects_at_the_reviewed_sites() {
+    // Each exception is an `#[expect(clippy::disallowed_…, reason = …)]`
+    // attribute; an `#[allow]` would silently outlive its cause. A new
+    // exception site must be reviewed and added here.
+    let mut files = Vec::new();
+    for dir in ["crates", "src", "examples", "tests"] {
+        rust_files(&repo().join(dir), &mut files);
+    }
+    let this_file = repo().join("tests/lint_rules.rs");
+    let fixture = repo().join("tests/lint_fixture");
+    let mut sites = BTreeSet::new();
+    for path in files {
+        if path == this_file || path.starts_with(&fixture) {
+            continue;
+        }
+        let text = std::fs::read_to_string(&path).expect("source readable");
+        let rel = path.strip_prefix(repo()).expect("inside the repo");
+        let rel = rel.to_string_lossy().replace('\\', "/");
+        for (at, _) in text.match_indices("clippy::disallowed_") {
+            let open = text[..at]
+                .rfind("#[")
+                .expect("lint name inside an attribute");
+            let close = open + text[open..].find(")]").expect("attribute closes");
+            let attribute = &text[open..close];
+            assert!(
+                attribute.starts_with("#[expect("),
+                "{rel}: ban exception is not an #[expect]: {attribute}"
+            );
+            assert!(
+                attribute.contains("reason = \""),
+                "{rel}: ban exception gives no reason: {attribute}"
+            );
+            sites.insert(rel.clone());
+        }
+    }
+    let reviewed = [
+        "crates/packetnoc/src/engine.rs",
+        "crates/patronoc/src/engine.rs",
+        "crates/simkit/src/json.rs",
+    ];
+    assert_eq!(sites, reviewed.map(str::to_owned).into());
+}
+
+#[test]
+fn no_crate_replaces_its_scope_with_a_clippy_toml_of_its_own() {
+    // Clippy reads only the nearest `clippy.toml` (or `.clippy.toml`), it
+    // never merges: a file dropped into one simulation crate, even an
+    // empty one, would silently lift every ban there.
+    let mut found = BTreeSet::new();
+    for parent in ["crates", "third_party"] {
+        for entry in std::fs::read_dir(repo().join(parent)).expect("directory readable") {
+            let dir = entry.expect("directory entry").path();
+            for name in ["clippy.toml", ".clippy.toml"] {
+                if dir.join(name).exists() {
+                    let rel = dir.join(name);
+                    let rel = rel.strip_prefix(repo()).expect("inside the repo");
+                    found.insert(rel.to_string_lossy().replace('\\', "/"));
+                }
+            }
+        }
+    }
+    for dir in ["reprobench", "src", "tests", "examples"] {
+        for name in ["clippy.toml", ".clippy.toml"] {
+            assert!(!repo().join(dir).join(name).exists(), "{dir}/{name}");
+        }
+    }
+    for dir in ["crates", "third_party", "."] {
+        assert!(
+            !repo().join(dir).join(".clippy.toml").exists(),
+            "{dir}/.clippy.toml"
+        );
+    }
+    assert_eq!(
+        found,
+        BTreeSet::from(["crates/bench/clippy.toml".to_owned()])
+    );
 }
