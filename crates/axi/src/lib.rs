@@ -37,8 +37,6 @@
 //! assert_eq!(total, 10 * 1024);
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub mod addr;
 pub mod burst;
 pub mod check;

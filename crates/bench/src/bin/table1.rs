@@ -3,7 +3,10 @@
 //! configuration layer and instantiable as a simulator; every out-of-range
 //! value is rejected. Also prints the §III power model.
 
-#![allow(clippy::print_literal)] // tabular output reads better with aligned literal args
+#![expect(
+    clippy::print_literal,
+    reason = "tabular output reads better with aligned literal args"
+)]
 
 use axi::AxiParams;
 use patronoc::Topology;

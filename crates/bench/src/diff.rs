@@ -79,7 +79,6 @@ fn get_f64(obj: &Json, key: &str) -> Result<f64, String> {
         Json::F64(v) => Ok(*v),
         // The writer prints whole floats as integers; the parser reads
         // them back as U64.
-        #[allow(clippy::cast_precision_loss)]
         Json::U64(n) => Ok(*n as f64),
         other => Err(format!("key `{key}` is not a number: {other:?}")),
     }

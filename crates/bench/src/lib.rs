@@ -10,8 +10,6 @@
 //! results can be emitted as JSON artifacts through [`json`]. The full
 //! methodology is recorded in `EXPERIMENTS.md` at the repository root.
 
-#![forbid(unsafe_code)]
-
 use scenario::{PacketProfile, Scenario, TrafficSpec};
 use simkit::StopReason;
 use traffic::{DnnWorkload, SyntheticPattern};

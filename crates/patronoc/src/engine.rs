@@ -196,7 +196,7 @@ impl NocSim {
         // `node` is the master side.
         let mut out_of: Vec<[Option<usize>; PORTS]> = vec![[None; PORTS]; n];
         let mut in_of: Vec<[Option<usize>; PORTS]> = vec![[None; PORTS]; n];
-        #[allow(clippy::needless_range_loop)] // node indexes two maps at once
+        #[expect(clippy::needless_range_loop, reason = "node indexes two maps at once")]
         for node in 0..n {
             for dir in Dir::ALL {
                 if let Some(nb) = topo.neighbor(node, dir) {

@@ -49,8 +49,6 @@
 //! | [`config`] | Table I parameter space |
 //! | [`engine`] | the cycle-accurate evaluation testbench (§IV) |
 
-#![forbid(unsafe_code)]
-
 pub mod config;
 pub mod endpoint;
 pub mod engine;

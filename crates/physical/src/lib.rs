@@ -35,8 +35,6 @@
 //! # Ok::<(), axi::ConfigError>(())
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub mod area;
 pub mod bisection;
 pub mod espnoc;

@@ -41,10 +41,7 @@
 //! # Ok::<(), scenario::ScenarioError>(())
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub mod engine;
-#[allow(clippy::module_inception)] // `scenario::Scenario` is the crate's point
 pub mod scenario;
 pub mod spec;
 

@@ -21,6 +21,9 @@ pub enum ScenarioError {
     /// Synthetic patterns place their slaves on a 2D mesh of at least 3×3
     /// (square for a transpose).
     SyntheticNeedsMesh(Topology),
+    /// The traffic spec holds a value its generator cannot run (see
+    /// [`TrafficSpec::check`]).
+    Traffic(String),
     /// Neither a measurement window nor a cycle budget was given.
     NoStopCondition,
     /// The requested probe needs a different engine (e.g.
@@ -45,6 +48,7 @@ impl fmt::Display for ScenarioError {
                      3x3 (square for a transpose), got {t}"
                 )
             }
+            Self::Traffic(why) => write!(f, "invalid traffic: {why}"),
             Self::NoStopCondition => {
                 write!(
                     f,
@@ -300,6 +304,27 @@ impl Scenario {
         }
     }
 
+    /// Checks what the traffic generators would otherwise panic on: the
+    /// traffic values ([`TrafficSpec::check`]) and, for a synthetic
+    /// pattern, a mesh it can be placed on.
+    /// [`build_engine`](Self::build_engine), and with it [`run`](Self::run),
+    /// returns this error before building anything.
+    ///
+    /// # Errors
+    ///
+    /// [`ScenarioError::Traffic`] for an out-of-range traffic value,
+    /// [`ScenarioError::SyntheticNeedsMesh`] for a synthetic pattern on a
+    /// topology it cannot be placed on.
+    pub fn validate(&self) -> Result<(), ScenarioError> {
+        self.traffic
+            .check(self.region_size)
+            .map_err(ScenarioError::Traffic)?;
+        if let TrafficSpec::Synthetic { pattern, .. } = self.traffic {
+            self.synthetic_mesh(pattern)?;
+        }
+        Ok(())
+    }
+
     /// Checks that a synthetic `pattern` can be placed on the topology:
     /// its edge/center structure needs a mesh of at least 3×3, and a
     /// transpose a square one.
@@ -390,10 +415,12 @@ impl Scenario {
     ///
     /// # Errors
     ///
+    /// The [`validate`](Self::validate) errors;
     /// [`ScenarioError::Config`] for invalid parameters;
     /// [`ScenarioError::PacketNeedsMesh`] for a packet scenario on a
     /// non-mesh topology or a mesh narrower than two columns.
     pub fn build_engine(&self) -> Result<Box<dyn Engine>, ScenarioError> {
+        self.validate()?;
         match self.engine {
             EngineSpec::Patronoc => Ok(Box::new(self.build_noc_sim()?)),
             EngineSpec::Packet(profile) => {
@@ -402,9 +429,6 @@ impl Scenario {
                     .mesh_dims()
                     .filter(|&(cols, rows)| cols >= 2 && rows >= 1)
                     .ok_or(ScenarioError::PacketNeedsMesh(self.topology))?;
-                if let TrafficSpec::Synthetic { pattern, .. } = self.traffic {
-                    self.synthetic_mesh(pattern)?;
-                }
                 let mut cfg = profile.base_config();
                 cfg.cols = cols;
                 cfg.rows = rows;
@@ -418,11 +442,13 @@ impl Scenario {
     ///
     /// # Panics
     ///
-    /// Panics when the traffic spec is degenerate (the generators
-    /// themselves assert: zero load, zero-size transfers, a synthetic
-    /// pattern on a too-small mesh).
+    /// Panics when [`validate`](Self::validate) fails;
+    /// [`build_engine`](Self::build_engine) returns that error instead.
     #[must_use]
     pub fn build_source(&self) -> Box<dyn TrafficSource> {
+        if let Err(e) = self.validate() {
+            panic!("{e}");
+        }
         let n = self.num_nodes();
         match self.traffic {
             TrafficSpec::Uniform {
@@ -525,9 +551,8 @@ impl Scenario {
     /// [`window`](Self::window) nor [`budget`](Self::budget) was set, plus
     /// the [`build_engine`](Self::build_engine) errors.
     pub fn run(&self) -> Result<SimReport, ScenarioError> {
-        // Build the engine first: configuration problems surface as
-        // ScenarioErrors before the source builders get to panic on a
-        // spec the engine would have rejected anyway.
+        // Build the engine first: it validates the scenario, so problems
+        // surface as ScenarioErrors before `build_source` panics on them.
         let mut engine = self.build_engine()?;
         let mut source = self.build_source();
         self.execute(&mut *engine, &mut *source)
@@ -572,8 +597,7 @@ impl Scenario {
     ///
     /// [`ScenarioError::Parse`] naming the missing key, wrong type,
     /// unknown label, out-of-range traffic value (see
-    /// [`TrafficSpec::from_json`]; also a `max_transfer` larger than
-    /// `region_size`) or retired key (`threads`: the engines run one
+    /// [`TrafficSpec::check`]) or retired key (`threads`: the engines run one
     /// serial cycle loop, so the knob no longer exists).
     pub fn from_json(v: &Json) -> Result<Self, ScenarioError> {
         use crate::spec::{get_str, get_u64, obj_get};
@@ -677,17 +701,10 @@ impl Scenario {
             seed: parse(get_u64(v, "seed"))?,
             time_skip,
         };
-        if let TrafficSpec::Uniform { max_transfer, .. }
-        | TrafficSpec::Synthetic { max_transfer, .. } = scenario.traffic
-        {
-            if max_transfer > scenario.region_size {
-                return Err(ScenarioError::Parse(format!(
-                    "key `max_transfer`: {max_transfer} B transfers do not fit in a \
-                     {} B region",
-                    scenario.region_size
-                )));
-            }
-        }
+        scenario
+            .traffic
+            .check(scenario.region_size)
+            .map_err(|why| ScenarioError::Parse(format!("key {why}")))?;
         Ok(scenario)
     }
 
@@ -893,6 +910,82 @@ mod tests {
             .window(500)
             .run()
             .unwrap();
+    }
+
+    /// Runs a builder-made scenario carrying `traffic` on both engines and
+    /// asserts a [`ScenarioError::Traffic`] naming `field`, not a panic.
+    fn assert_traffic_rejected(traffic: TrafficSpec, field: &str) {
+        for base in [
+            Scenario::patronoc(),
+            Scenario::packet(PacketProfile::Compact),
+        ] {
+            let sc = base.region_size(1 << 16).traffic(traffic).window(200);
+            match std::panic::catch_unwind(|| sc.run()) {
+                Ok(Err(ScenarioError::Traffic(why))) => {
+                    assert!(why.contains(field), "{traffic:?}: {why}");
+                }
+                Ok(other) => panic!("{traffic:?}: expected a traffic error, got {other:?}"),
+                Err(_) => panic!("{traffic:?}: running panicked"),
+            }
+        }
+    }
+
+    fn uniform(load: f64, max_transfer: u64, read_fraction: f64) -> TrafficSpec {
+        TrafficSpec::Uniform {
+            load,
+            max_transfer,
+            read_fraction,
+            copies: false,
+        }
+    }
+
+    fn synthetic(load: f64, max_transfer: u64, read_fraction: f64) -> TrafficSpec {
+        TrafficSpec::Synthetic {
+            pattern: SyntheticPattern::AllGlobal,
+            load,
+            max_transfer,
+            read_fraction,
+        }
+    }
+
+    // The same out-of-range values `from_json` rejects, reaching `run`
+    // through the builder: each one used to panic in a traffic generator
+    // (or, for `read_fraction`, be clamped silently).
+    macro_rules! builder_rejected {
+        ($($name:ident: $traffic:expr => $field:literal;)*) => {$(
+            #[test]
+            fn $name() {
+                assert_traffic_rejected($traffic, $field);
+            }
+        )*};
+    }
+
+    builder_rejected! {
+        built_uniform_zero_load_is_an_error: TrafficSpec::uniform(0.0, 1_000) => "`load`";
+        built_uniform_copies_zero_load_is_an_error:
+            TrafficSpec::uniform_copies(0.0, 1_000) => "`load`";
+        built_uniform_nan_load_is_an_error: uniform(f64::NAN, 1_000, 0.5) => "`load`";
+        built_uniform_load_above_one_is_an_error: uniform(1.5, 1_000, 0.5) => "`load`";
+        built_uniform_zero_byte_transfers_are_an_error: uniform(0.5, 0, 0.5) => "`max_transfer`";
+        built_uniform_transfers_larger_than_a_region_are_an_error:
+            uniform(0.5, (1 << 16) + 1, 0.5) => "`max_transfer`";
+        built_uniform_read_fraction_above_one_is_an_error:
+            uniform(0.5, 1_000, 7.0) => "`read_fraction`";
+        built_synthetic_zero_load_is_an_error: synthetic(0.0, 1_000, 0.5) => "`load`";
+        built_synthetic_zero_byte_transfers_are_an_error:
+            TrafficSpec::synthetic(SyntheticPattern::MaxTwoHop, 0) => "`max_transfer`";
+        built_synthetic_negative_read_fraction_is_an_error:
+            synthetic(0.5, 1_000, -0.1) => "`read_fraction`";
+        built_dnn_zero_steps_is_an_error:
+            TrafficSpec::dnn(traffic::DnnWorkload::PipelinedConv, 0) => "`steps`";
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid traffic: `load`")]
+    fn build_source_names_the_invalid_value_it_panics_on() {
+        let _ = Scenario::patronoc()
+            .traffic(TrafficSpec::uniform(0.0, 1_000))
+            .build_source();
     }
 
     #[test]

@@ -201,23 +201,23 @@ impl TrafficSpec {
     ///
     /// # Errors
     ///
-    /// A message naming the missing key, wrong type, unknown label or
-    /// out-of-range value: a load outside `(0, 1]`, a zero `max_transfer`,
-    /// a `read_fraction` outside `[0, 1]` or zero DNN `steps` (values the
-    /// traffic generators would otherwise panic on, or silently clamp).
+    /// A message naming the missing key, wrong type or unknown label.
+    /// Value ranges are [`check`](Self::check)ed by
+    /// [`Scenario::from_json`](crate::Scenario::from_json), which knows
+    /// the region size.
     pub fn from_json(v: &Json) -> Result<Self, String> {
         match get_str(v, "kind")? {
             "uniform" => Ok(Self::Uniform {
-                load: get_load(v)?,
-                max_transfer: get_max_transfer(v)?,
-                read_fraction: get_read_fraction(v)?,
+                load: get_f64(v, "load")?,
+                max_transfer: get_u64(v, "max_transfer")?,
+                read_fraction: get_f64(v, "read_fraction")?,
                 copies: get_bool(v, "copies")?,
             }),
             "synthetic" => Ok(Self::Synthetic {
                 pattern: pattern_from_label(get_str(v, "pattern")?)?,
-                load: get_load(v)?,
-                max_transfer: get_max_transfer(v)?,
-                read_fraction: get_read_fraction(v)?,
+                load: get_f64(v, "load")?,
+                max_transfer: get_u64(v, "max_transfer")?,
+                read_fraction: get_f64(v, "read_fraction")?,
             }),
             "dnn" => {
                 let name = get_str(v, "workload")?;
@@ -225,47 +225,62 @@ impl TrafficSpec {
                     .into_iter()
                     .find(|w| w.name() == name)
                     .ok_or_else(|| format!("unknown DNN workload `{name}`"))?;
-                let steps = usize::try_from(get_u64(v, "steps")?)
-                    .map_err(|_| "steps exceeds usize".to_owned())?;
-                if steps == 0 {
-                    return Err("key `steps`: expected at least one step, got `0`".to_owned());
-                }
-                Ok(Self::Dnn { workload, steps })
+                Ok(Self::Dnn {
+                    workload,
+                    steps: usize::try_from(get_u64(v, "steps")?)
+                        .map_err(|_| "steps exceeds usize".to_owned())?,
+                })
             }
             other => Err(format!("unknown traffic kind `{other}`")),
         }
     }
-}
 
-/// Reads the offered `load`: a finite fraction in `(0, 1]`.
-fn get_load(v: &Json) -> Result<f64, String> {
-    let load = get_f64(v, "load")?;
-    if load > 0.0 && load <= 1.0 {
-        Ok(load)
-    } else {
-        Err(format!(
-            "key `load`: expected a value in (0, 1], got `{load}`"
-        ))
-    }
-}
-
-/// Reads `max_transfer`: transfers carry at least one byte.
-fn get_max_transfer(v: &Json) -> Result<u64, String> {
-    match get_u64(v, "max_transfer")? {
-        0 => Err("key `max_transfer`: expected at least one byte, got `0`".to_owned()),
-        n => Ok(n),
-    }
-}
-
-/// Reads `read_fraction`: a probability in `[0, 1]`.
-fn get_read_fraction(v: &Json) -> Result<f64, String> {
-    let fraction = get_f64(v, "read_fraction")?;
-    if (0.0..=1.0).contains(&fraction) {
-        Ok(fraction)
-    } else {
-        Err(format!(
-            "key `read_fraction`: expected a value in [0, 1], got `{fraction}`"
-        ))
+    /// Checks the values the traffic generators would otherwise panic on
+    /// or silently clamp: a load outside `(0, 1]` (NaN included), a zero
+    /// `max_transfer` or one larger than a `region_size`-byte region, a
+    /// `read_fraction` outside `[0, 1]`, and zero DNN `steps`.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the offending field, e.g. ``"`load`: expected a
+    /// value in (0, 1], got `0`"``.
+    pub fn check(&self, region_size: u64) -> Result<(), String> {
+        let (load, max_transfer, read_fraction) = match *self {
+            Self::Uniform {
+                load,
+                max_transfer,
+                read_fraction,
+                ..
+            }
+            | Self::Synthetic {
+                load,
+                max_transfer,
+                read_fraction,
+                ..
+            } => (load, max_transfer, read_fraction),
+            Self::Dnn { steps: 0, .. } => {
+                return Err("`steps`: expected at least one step, got `0`".to_owned())
+            }
+            Self::Dnn { .. } => return Ok(()),
+        };
+        if !(load > 0.0 && load <= 1.0) {
+            return Err(format!("`load`: expected a value in (0, 1], got `{load}`"));
+        }
+        if max_transfer == 0 {
+            return Err("`max_transfer`: expected at least one byte, got `0`".to_owned());
+        }
+        if max_transfer > region_size {
+            return Err(format!(
+                "`max_transfer`: {max_transfer} B transfers do not fit in a \
+                 {region_size} B region"
+            ));
+        }
+        if !(0.0..=1.0).contains(&read_fraction) {
+            return Err(format!(
+                "`read_fraction`: expected a value in [0, 1], got `{read_fraction}`"
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -327,7 +342,7 @@ pub(crate) fn get_u64(v: &Json, key: &str) -> Result<u64, String> {
 pub(crate) fn get_f64(v: &Json, key: &str) -> Result<f64, String> {
     match obj_get(v, key)? {
         Json::F64(x) => Ok(*x),
-        #[allow(clippy::cast_precision_loss)] // round-tripped whole floats
+        // Round-tripped whole floats.
         Json::U64(n) => Ok(*n as f64),
         other => Err(format!("key `{key}`: expected a number, got `{other}`")),
     }

@@ -61,8 +61,6 @@
 //! ```
 //!
 
-#![forbid(unsafe_code)]
-
 pub mod arbiter;
 pub mod fifo;
 pub mod horizon;

@@ -37,8 +37,6 @@
 //! let _maybe_transfer = src.poll(0, 0);
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub(crate) mod chkpt;
 pub mod dnn;
 pub mod source;

@@ -1,15 +1,13 @@
 //! The determinism bans, pinned: clippy runs on `tests/lint_fixture` once
 //! per `clippy.toml` scope and must flag exactly the fixture lines that
 //! scope bans. Dropping or narrowing any ban entry, or letting a ban leak
-//! into a scope that must not have it, fails here; so does a ban entry no
-//! fixture line exercises, and a deliberate exception written as an
-//! `#[allow]` (which, unlike `#[expect]`, never reports going stale).
+//! into a scope that must not have it, fails here.
 //!
 //! Each scope lints only the one-file fixture (about 0.2 s), once per test
 //! binary, into its own target directory under `target/tmp`.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::Command;
 use std::sync::OnceLock;
 
@@ -162,14 +160,6 @@ impl Scope {
         ];
         RUNS[self as usize].get_or_init(|| run_clippy(self))
     }
-
-    /// The paths this scope's `clippy.toml` bans.
-    fn banned_paths(self) -> BTreeSet<String> {
-        ban_entries(self)
-            .into_iter()
-            .map(|entry| field(&entry, "path").expect("every ban entry has a path"))
-            .collect()
-    }
 }
 
 fn repo() -> &'static Path {
@@ -236,47 +226,6 @@ fn run_clippy(scope: Scope) -> Lint {
     lint
 }
 
-/// The `{ path = …, reason = … }` entries of `scope`'s `clippy.toml`, one
-/// string each.
-fn ban_entries(scope: Scope) -> Vec<String> {
-    let path: PathBuf = repo().join(scope.dir()).join("clippy.toml");
-    let text = std::fs::read_to_string(&path).expect("clippy.toml readable");
-    text.lines()
-        .map(str::trim)
-        .filter(|line| !line.starts_with('#'))
-        .filter_map(|line| {
-            let start = line.find('{')?;
-            let end = line.rfind('}')?;
-            Some(line[start + 1..end].to_owned())
-        })
-        .collect()
-}
-
-/// The quoted value of `key` in one inline-table entry.
-fn field(entry: &str, key: &str) -> Option<String> {
-    let (_, rest) = entry.split_once(&format!("{key} = \""))?;
-    let (value, _) = rest.split_once('"')?;
-    Some(value.to_owned())
-}
-
-/// Whether `scope` flags the fixture line tagged `tag` (for any reason).
-fn flags(scope: Scope, tag: &str) -> bool {
-    scope.lint().banned.iter().any(|(t, _)| t == tag)
-}
-
-/// Asserts which scopes flag each of `tags`: those in `flagged`, no other.
-fn assert_flagged_only_in(tags: &[&str], flagged: &[Scope]) {
-    for scope in SCOPES {
-        for &tag in tags {
-            assert_eq!(
-                flags(scope, tag),
-                flagged.contains(&scope),
-                "{scope:?} on `{tag}`"
-            );
-        }
-    }
-}
-
 #[test]
 fn simulation_crates_ban_hashing_os_randomness_the_clock_and_the_environment() {
     assert_eq!(Crates.lint().banned, Crates.expected());
@@ -298,62 +247,6 @@ fn vendored_stand_ins_ban_nothing() {
 }
 
 #[test]
-fn hash_map_and_set_are_flagged_in_scope() {
-    assert_flagged_only_in(&["hash-map", "hash-set"], &[Crates, Bench]);
-}
-
-#[test]
-fn hash_collection_out_of_scope_crate_is_clean() {
-    for scope in [Root, ThirdParty] {
-        assert!(!flags(scope, "hash-map") && !flags(scope, "hash-set"));
-    }
-}
-
-#[test]
-fn btree_collections_are_clean() {
-    assert_flagged_only_in(&["ok-btree-map"], &[]);
-}
-
-#[test]
-fn instant_and_system_time_are_flagged() {
-    // Both the type and its `now` constructor, so neither a stored
-    // `Instant` nor a discarded `now()` slips through.
-    for scope in [Crates, Bench, Root] {
-        for (tag, what) in CLOCK {
-            let hit = ((*tag).to_owned(), (*what).to_owned());
-            assert!(scope.lint().banned.contains(&hit), "{scope:?}: {hit:?}");
-        }
-    }
-    assert_flagged_only_in(&["instant-now", "system-time-now"], &[Crates, Bench, Root]);
-    assert_flagged_only_in(&["ok-duration"], &[]);
-}
-
-#[test]
-fn env_path_reads_are_flagged_but_env_macro_is_not() {
-    let env_tags: Vec<String> = ENV
-        .iter()
-        .map(|name| format!("env-{}", name.replace('_', "-")))
-        .collect();
-    let env_tags: Vec<&str> = env_tags.iter().map(String::as_str).collect();
-    assert_flagged_only_in(&env_tags, &[Crates]);
-    // `env!` is resolved at compile time: it reads the build, not the run.
-    assert_flagged_only_in(&["ok-env-macro"], &[]);
-}
-
-#[test]
-fn os_seeded_randomness_is_flagged() {
-    assert_flagged_only_in(&["random-state"], &[Crates]);
-}
-
-#[test]
-fn wall_clock_expect_suppresses_matching_line_only() {
-    // The deliberate exception is the one line under the `#[expect]`; the
-    // same call on the next line is still banned.
-    assert_flagged_only_in(&["ok-expected-instant-now"], &[]);
-    assert_flagged_only_in(&["instant-now-after-expect"], &[Crates, Bench, Root]);
-}
-
-#[test]
 fn an_expect_that_matches_nothing_is_reported() {
     // Where the clock is not banned the `#[expect]` has nothing to
     // suppress, and clippy says so (an error under `-D warnings`): an
@@ -366,91 +259,6 @@ fn an_expect_that_matches_nothing_is_reported() {
         };
         assert_eq!(scope.lint().unfulfilled, stale, "{scope:?}");
     }
-}
-
-#[test]
-fn every_ban_entry_is_exercised_by_the_fixture() {
-    // The other direction of the exact-set tests above: an entry no
-    // fixture line uses could be deleted without any test noticing.
-    for scope in SCOPES {
-        let pinned: BTreeSet<String> = scope
-            .expected()
-            .into_iter()
-            .map(|(_, what)| {
-                let quoted = what.split('`').nth(1).expect("clippy quotes the path");
-                quoted.to_owned()
-            })
-            .collect();
-        assert_eq!(scope.banned_paths(), pinned, "{scope:?}");
-    }
-}
-
-#[test]
-fn every_ban_entry_gives_a_reason() {
-    // Clippy prints the reason with each hit; it is the only guidance a
-    // contributor who trips a ban gets.
-    for scope in SCOPES {
-        for entry in ban_entries(scope) {
-            let reason = field(&entry, "reason").unwrap_or_default();
-            assert!(!reason.trim().is_empty(), "{scope:?}: `{entry}`");
-        }
-    }
-}
-
-/// Every `.rs` file under `dir`, recursively.
-fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
-    for entry in std::fs::read_dir(dir).expect("source directory readable") {
-        let path = entry.expect("directory entry").path();
-        if path.is_dir() {
-            rust_files(&path, out);
-        } else if path.extension().is_some_and(|e| e == "rs") {
-            out.push(path);
-        }
-    }
-}
-
-#[test]
-fn ban_exceptions_are_reasoned_expects_at_the_reviewed_sites() {
-    // Each exception is an `#[expect(clippy::disallowed_…, reason = …)]`
-    // attribute; an `#[allow]` would silently outlive its cause. A new
-    // exception site must be reviewed and added here.
-    let mut files = Vec::new();
-    for dir in ["crates", "src", "examples", "tests"] {
-        rust_files(&repo().join(dir), &mut files);
-    }
-    let this_file = repo().join("tests/lint_rules.rs");
-    let fixture = repo().join("tests/lint_fixture");
-    let mut sites = BTreeSet::new();
-    for path in files {
-        if path == this_file || path.starts_with(&fixture) {
-            continue;
-        }
-        let text = std::fs::read_to_string(&path).expect("source readable");
-        let rel = path.strip_prefix(repo()).expect("inside the repo");
-        let rel = rel.to_string_lossy().replace('\\', "/");
-        for (at, _) in text.match_indices("clippy::disallowed_") {
-            let open = text[..at]
-                .rfind("#[")
-                .expect("lint name inside an attribute");
-            let close = open + text[open..].find(")]").expect("attribute closes");
-            let attribute = &text[open..close];
-            assert!(
-                attribute.starts_with("#[expect("),
-                "{rel}: ban exception is not an #[expect]: {attribute}"
-            );
-            assert!(
-                attribute.contains("reason = \""),
-                "{rel}: ban exception gives no reason: {attribute}"
-            );
-            sites.insert(rel.clone());
-        }
-    }
-    let reviewed = [
-        "crates/packetnoc/src/engine.rs",
-        "crates/patronoc/src/engine.rs",
-        "crates/simkit/src/json.rs",
-    ];
-    assert_eq!(sites, reviewed.map(str::to_owned).into());
 }
 
 #[test]

@@ -32,24 +32,34 @@ fn slim_4x4_constructs_and_runs() {
 }
 
 #[test]
-fn every_crate_root_forbids_unsafe_code() {
-    // No crate may contain `unsafe` at all; pin the attribute that makes
-    // the compiler enforce it.
+fn every_member_target_forbids_unsafe_code() {
+    // No target may contain `unsafe` at all. The root `[workspace.lints]`
+    // forbids it, and `[lints] workspace = true` carries that to every
+    // target of a member: library, binaries, tests, examples and benches.
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
-    let mut roots = vec![root.join("src/lib.rs")];
+    let workspace = std::fs::read_to_string(root.join("Cargo.toml")).expect("root manifest");
+    assert!(
+        workspace.contains("[workspace.lints.rust]\nunsafe_code = \"forbid\"\n"),
+        "the root manifest does not forbid unsafe_code for the workspace"
+    );
+    let mut manifests = vec![root.join("Cargo.toml")];
     for entry in std::fs::read_dir(root.join("crates")).expect("crates/ readable") {
-        let lib = entry.expect("dir entry").path().join("src/lib.rs");
-        if lib.exists() {
-            roots.push(lib);
+        let manifest = entry.expect("dir entry").path().join("Cargo.toml");
+        if manifest.exists() {
+            manifests.push(manifest);
         }
     }
-    assert!(roots.len() >= 9, "only {} crate roots found", roots.len());
-    for lib in roots {
-        let text = std::fs::read_to_string(&lib).expect("crate root readable");
+    assert!(
+        manifests.len() >= 9,
+        "only {} manifests found",
+        manifests.len()
+    );
+    for manifest in manifests {
+        let text = std::fs::read_to_string(&manifest).expect("manifest readable");
         assert!(
-            text.contains("#![forbid(unsafe_code)]"),
-            "{} does not forbid unsafe_code",
-            lib.display()
+            text.contains("\n[lints]\nworkspace = true\n"),
+            "{} does not inherit the workspace lints",
+            manifest.display()
         );
     }
 }
